@@ -131,7 +131,6 @@ FarmScalingPoint measure_farm(std::size_t threads) {
   params.operations = 200'000;
   params.width = 32;
   params.adders = 1024;
-  params.engine = AdderEngine::kPacked;
   Rng rng(0xFA2);
   const std::uint64_t t0 = steady_ns();
   const ParallelAddResult result =

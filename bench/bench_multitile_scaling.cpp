@@ -33,7 +33,6 @@ ParallelAddParams add_params() {
   p.operations = 16384;
   p.width = 32;
   p.adders = 64;  // per-tile farm; batch-aligned sharding keeps slots
-  p.engine = AdderEngine::kPacked;
   return p;
 }
 

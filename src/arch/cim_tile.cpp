@@ -5,8 +5,6 @@
 
 #include "common/error.h"
 #include "isa/kernels.h"
-#include "logic/comparator.h"
-#include "logic/ideal_fabric.h"
 #include "logic/packed.h"
 #include "logic/tc_adder.h"
 #include "telemetry/telemetry.h"
@@ -56,45 +54,18 @@ std::vector<bool> CimTile::parallel_compare(const std::vector<bool>& key) {
   tile_metrics().compares.add(1);
   tile_metrics().rows.add(config_.rows);
 
-  if (config_.compare_engine == CompareEngine::kScalar) {
-    std::vector<bool> matches(config_.rows);
-    Time worst_row_latency{0.0};
-    Energy total_energy{0.0};
-    for (std::size_t r = 0; r < config_.rows; ++r) {
-      const std::vector<bool> row = memory_.read_word(r);
-      // Each row owns its slice of the fabric: rows run concurrently, so
-      // tile latency is the slowest row, energy the sum.
-      IdealFabric fabric(config_.cost);
-      const std::vector<Reg> key_regs = load_word(fabric, key);
-      const std::vector<Reg> row_regs = load_word(fabric, row);
-      const Reg eq = word_equality(fabric, key_regs, row_regs);
-      matches[r] = fabric.read(eq);
-      worst_row_latency = std::max(worst_row_latency, fabric.latency());
-      total_energy += fabric.energy();
-    }
-    stats_.latency += worst_row_latency;
-    stats_.energy += total_energy;
-    stats_.operations += config_.rows;
-    return matches;
-  }
-
   // Compile-once/replay-many: every row is one packed window of the
-  // cached word-equality program.  The program IS the recorded scalar
-  // walk, so replaying the source form reproduces the kScalar books
-  // bitwise: per-row steps/writes are identical, tile latency is the
-  // max over equal row latencies, and the energy reproduces the scalar
-  // path's ordered per-row fold (NOT one writes × e_write multiply,
+  // cached word-equality program.  The program IS the recorded per-row
+  // fabric walk (each row on its own IdealFabric slice, rows
+  // concurrent), so replaying the source form reproduces that walk's
+  // books bitwise: per-row steps/writes are identical, tile latency is
+  // the max over equal row latencies, and the energy reproduces the
+  // walk's ordered per-row fold (NOT one writes × e_write multiply,
   // which rounds differently).
   isa::CompileOptions copts;
   copts.cost = config_.cost;
   const std::shared_ptr<const isa::CompiledProgram> program =
       isa::cached_word_equality(config_.row_bits, copts);
-  const bool optimized =
-      config_.compare_engine == CompareEngine::kCompiledOptimized;
-  const PackedProgram& packed =
-      optimized ? program->packed_optimized : program->packed_source;
-  const PackedRunOptions& run_options =
-      optimized ? program->run_optimized : program->run_source;
 
   std::vector<std::vector<bool>> windows(config_.rows);
   for (std::size_t r = 0; r < config_.rows; ++r) {
@@ -104,8 +75,8 @@ std::vector<bool> CimTile::parallel_compare(const std::vector<bool>& key) {
     in.insert(in.end(), key.begin(), key.end());
     in.insert(in.end(), row.begin(), row.end());
   }
-  const PackedRunResult result =
-      run_program_packed(packed, windows, run_options);
+  const PackedRunResult result = run_program_packed(
+      program->packed_source, windows, program->run_source);
 
   const std::uint64_t writes_per_row =
       result.writes / static_cast<std::uint64_t>(config_.rows);

@@ -8,7 +8,10 @@
 //   * parallel_compare — match a key word against every stored row
 //     simultaneously (the DNA primitive).  Latency is one comparator
 //     pass (all rows run concurrently on their own row logic); energy
-//     sums over rows.
+//     sums over rows.  Each row is one packed window of the cached
+//     word-equality program, whose books equal the per-row IdealFabric
+//     walk bit for bit (tests/arch/compare_engine_test.cpp keeps that
+//     walk as the oracle).
 //   * parallel_add — add word lanes of two rows into a destination row
 //     using CRS TC-adders, one per lane, all lanes concurrent (the
 //     math primitive).
@@ -26,27 +29,11 @@
 
 namespace memcim {
 
-/// How parallel_compare executes its per-row word-equality programs.
-enum class CompareEngine : std::uint8_t {
-  /// Compile-once/replay-many: the cached word-equality program replays
-  /// on the packed engine.  Book-exact with kScalar — bitwise-identical
-  /// matches, latency, energy and fabric.* tallies — but one packed
-  /// pass instead of rows × program virtual-dispatch walks.
-  kCompiled,
-  /// Replay the pass-pipeline optimized program (fewer pulses, smaller
-  /// window).  Books reflect the optimized program's own exact costs,
-  /// so they undercut the kScalar books: opt-in.
-  kCompiledOptimized,
-  /// The legacy per-row fabric walk (reference for differential tests).
-  kScalar,
-};
-
 struct CimTileConfig {
   std::size_t rows = 64;       ///< stored words
   std::size_t row_bits = 64;   ///< bits per row
   CrsCellParams cell{};        ///< storage/logic cell parameters
   LogicCostModel cost{};       ///< step/energy quanta (Table 1)
-  CompareEngine compare_engine = CompareEngine::kCompiled;
 };
 
 struct CimTileStats {
@@ -55,7 +42,11 @@ struct CimTileStats {
   std::uint64_t operations = 0;
 };
 
-class CimTile {
+/// Cache-line aligned: a TileFabric keeps its tiles contiguous and
+/// drives them from different pool workers, and every bit read bumps
+/// the storage bank's counters, so one tile's state must never share a
+/// line with its neighbour's.
+class alignas(64) CimTile {
  public:
   explicit CimTile(const CimTileConfig& config);
 

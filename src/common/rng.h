@@ -39,4 +39,15 @@ class Rng {
   std::mt19937_64 engine_;
 };
 
+/// splitmix64 finalizer: a bijective 64-bit mix that decorrelates
+/// (seed, salt) pairs into independent stream seeds and turns packet
+/// digests into fingerprints and per-flit wire data.  Fault outcomes,
+/// NoC wire data and every payload fingerprint derive from it.
+[[nodiscard]] constexpr std::uint64_t splitmix64(std::uint64_t x) {
+  x += 0x9E3779B97F4A7C15ull;
+  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ull;
+  x = (x ^ (x >> 27)) * 0x94D049BB133111EBull;
+  return x ^ (x >> 31);
+}
+
 }  // namespace memcim

@@ -1,6 +1,7 @@
 #include "fault/campaign.h"
 
 #include "common/error.h"
+#include "common/rng.h"
 #include "crossbar/readout.h"
 #include "device/presets.h"
 #include "device/vcm.h"
@@ -40,19 +41,12 @@ CampaignTally record_campaign(CampaignTally tally) {
   return tally;
 }
 
-/// splitmix64 finalizer (same construction as fault_model.cpp).
-std::uint64_t mix(std::uint64_t x) {
-  x += 0x9E3779B97F4A7C15ull;
-  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ull;
-  x = (x ^ (x >> 27)) * 0x94D049BB133111EBull;
-  return x ^ (x >> 31);
-}
-
 /// Independent stream per (campaign seed, target, rate[, trial]).
 std::uint64_t derive(std::uint64_t seed, std::uint64_t tag, double rate,
                      std::uint64_t trial = 0) {
-  return mix(seed ^ mix(tag) ^ mix(static_cast<std::uint64_t>(rate * 1e9)) ^
-             mix(trial + 0x51ull));
+  return splitmix64(seed ^ splitmix64(tag) ^
+                    splitmix64(static_cast<std::uint64_t>(rate * 1e9)) ^
+                    splitmix64(trial + 0x51ull));
 }
 
 /// The standard stuck-at mix: half the armed sites pin to LRS, half to
@@ -395,7 +389,6 @@ CampaignTally run_parallel_add_campaign(const CampaignConfig& config,
   if (rate == 0.0) {
     ParallelAddParams packed_params = params;
     packed_params.farm_hook = nullptr;
-    packed_params.engine = AdderEngine::kPacked;
     Rng packed_rng(derive(config.seed, 0xFA23DA7A, rate));
     const ParallelAddResult packed =
         run_parallel_add(packed_params, presets::crs_cell(), packed_rng);

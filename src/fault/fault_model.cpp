@@ -6,19 +6,6 @@
 
 namespace memcim {
 
-namespace {
-
-/// splitmix64 finalizer — decorrelates (seed, salt) pairs into
-/// independent stream seeds.
-std::uint64_t mix(std::uint64_t x) {
-  x += 0x9E3779B97F4A7C15ull;
-  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ull;
-  x = (x ^ (x >> 27)) * 0x94D049BB133111EBull;
-  return x ^ (x >> 31);
-}
-
-}  // namespace
-
 const char* to_string(FaultKind k) {
   switch (k) {
     case FaultKind::kStuckAtLrs: return "stuck-at-LRS";
@@ -35,7 +22,8 @@ FaultPlan::FaultPlan(std::size_t population, std::uint64_t seed)
 
 FaultPlan::Site& FaultPlan::site_entry(std::size_t site) {
   auto [it, inserted] = sites_.try_emplace(site);
-  if (inserted) it->second.events = Rng(mix(seed_ ^ mix(site + 1)));
+  if (inserted)
+    it->second.events = Rng(splitmix64(seed_ ^ splitmix64(site + 1)));
   return it->second;
 }
 
@@ -53,7 +41,7 @@ void FaultPlan::arm(const FaultSpec& spec) {
                    "drift magnitude must be in [0, 1]");
   // One private stream per (seed, spec order): arming a second class
   // never perturbs where the first one landed.
-  Rng draw(mix(seed_ ^ mix(0xA9E1ull + specs_armed_)));
+  Rng draw(splitmix64(seed_ ^ splitmix64(0xA9E1ull + specs_armed_)));
   ++specs_armed_;
   if (spec.rate <= 0.0) return;
   for (std::size_t s = 0; s < population_; ++s) {

@@ -42,7 +42,6 @@ std::size_t ProgramKeyHash::operator()(const ProgramKey& key) const {
                              static_cast<unsigned char>(c)));
   hash = fnv_mix(hash, key.shape);
   hash = fnv_mix(hash, key.fabric_sig);
-  hash = fnv_mix(hash, key.optimize ? 1u : 0u);
   return static_cast<std::size_t>(hash);
 }
 

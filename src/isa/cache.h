@@ -2,11 +2,11 @@
 //
 // The PR-5 packed_adder fast path hand-cached one kernel; this cache
 // generalizes it to every recorded workload.  Artifacts are keyed by
-// (workload name, shape, fabric signature, optimize flag) — the same
-// kernel recorded for a different word width, or compiled for a fabric
-// with different step quanta, is a different artifact.  Lookups and
-// fills book `compiler.cache.hits` / `compiler.cache.misses`, so the
-// serving stack's hit rate is observable (docs/TELEMETRY.md).
+// (workload name, shape, fabric signature) — the same kernel recorded
+// for a different word width, or compiled for a fabric with different
+// step quanta, is a different artifact.  Lookups and fills book
+// `compiler.cache.hits` / `compiler.cache.misses`, so the serving
+// stack's hit rate is observable (docs/TELEMETRY.md).
 #pragma once
 
 #include <cstdint>
@@ -27,11 +27,10 @@ struct ProgramKey {
   std::string workload;
   std::uint64_t shape = 0;
   std::uint64_t fabric_sig = 0;
-  bool optimize = true;
 
   [[nodiscard]] bool operator==(const ProgramKey& other) const {
     return workload == other.workload && shape == other.shape &&
-           fabric_sig == other.fabric_sig && optimize == other.optimize;
+           fabric_sig == other.fabric_sig;
   }
 };
 

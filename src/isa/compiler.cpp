@@ -46,13 +46,7 @@ CompiledProgram compile(const CimProgram& source,
   out.source = source;
   out.stats.pulses_before = source.instructions.size();
   out.stats.registers_before = source.registers;
-  if (options.optimize) {
-    out.optimized = optimize_program(source, &out.stats);
-  } else {
-    out.optimized = source;
-    out.stats.pulses_after = out.stats.pulses_before;
-    out.stats.registers_after = out.stats.registers_before;
-  }
+  out.optimized = optimize_program(source, &out.stats);
   out.packed_source = compile_program(out.source);
   out.packed_optimized = compile_program(out.optimized);
   out.run_source = run_options_for(options, out.packed_source);

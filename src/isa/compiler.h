@@ -5,9 +5,11 @@
 //
 //   * `source` / `packed_source` — the recorded program unchanged, for
 //     book-exact replay (bitwise-identical outputs AND cost books vs
-//     the legacy scalar walk, the packed_adder discipline from PR 5),
+//     the scalar fabric walk it was recorded from; CimTile's compare
+//     replays this form),
 //   * `optimized` / `packed_optimized` — the pass-pipeline output, for
-//     minimum-pulse replay with its own exactly-reconciled books.
+//     minimum-pulse replay with its own exactly-reconciled books (what
+//     bench_compiler gates).
 //
 // Both forms come with ready PackedRunOptions (cost quanta + the
 // window-packing block grain), so call sites replay with one call.
@@ -19,19 +21,18 @@
 
 namespace memcim::isa {
 
-/// Cost quanta of the fabric the program will replay against, plus the
-/// pipeline switch.  These feed the cache key: programs compiled for
-/// different fabrics (e.g. CRS 2-step IMP) are distinct artifacts.
+/// Cost quanta of the fabric the program will replay against.  These
+/// feed the cache key: programs compiled for different fabrics (e.g.
+/// CRS 2-step IMP) are distinct artifacts.
 struct CompileOptions {
   LogicCostModel cost{};
   std::uint64_t set_step_cost = 1;
   std::uint64_t imply_step_cost = 1;
-  bool optimize = true;  ///< run the pass pipeline (false: source only)
 };
 
 struct CompiledProgram {
   CimProgram source;
-  CimProgram optimized;          ///< == source when options.optimize off
+  CimProgram optimized;
   PackedProgram packed_source;
   PackedProgram packed_optimized;
   PassStats stats;
@@ -39,9 +40,9 @@ struct CompiledProgram {
   PackedRunOptions run_optimized;  ///< quanta + grain for packed_optimized
 };
 
-/// Validate, optimize (when asked), lower both forms for the packed
-/// engine, and pick the window-packing grain.  Books the compiler.*
-/// telemetry counters (see docs/TELEMETRY.md).
+/// Validate, optimize, lower both forms for the packed engine, and pick
+/// the window-packing grain.  Books the compiler.* telemetry counters
+/// (see docs/TELEMETRY.md).
 [[nodiscard]] CompiledProgram compile(const CimProgram& source,
                                       const CompileOptions& options = {});
 

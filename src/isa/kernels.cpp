@@ -6,32 +6,8 @@
 #include "logic/adder.h"
 #include "logic/comparator.h"
 #include "logic/gates.h"
-#include "logic/packed.h"
 
 namespace memcim::isa {
-
-namespace {
-
-/// Shared replay plumbing: pick the requested form, run packed, fill
-/// the books from the packed result (already exactly reconciled with a
-/// scalar run_program_simd of the same program).
-PackedRunResult replay_kernel(const CompiledProgram& program,
-                              bool optimized,
-                              const std::vector<std::vector<bool>>& windows,
-                              CompiledRunBooks& books) {
-  const PackedProgram& packed =
-      optimized ? program.packed_optimized : program.packed_source;
-  const PackedRunOptions& options =
-      optimized ? program.run_optimized : program.run_source;
-  PackedRunResult result = run_program_packed(packed, windows, options);
-  books.latency = result.latency;
-  books.energy = result.energy;
-  books.writes = result.writes;
-  books.pulses_per_window = result.steps_per_window;
-  return result;
-}
-
-}  // namespace
 
 std::shared_ptr<const CompiledProgram> cached_word_equality(
     std::size_t bits, const CompileOptions& options) {
@@ -40,7 +16,6 @@ std::shared_ptr<const CompiledProgram> cached_word_equality(
   key.workload = "word_equality";
   key.shape = bits;
   key.fabric_sig = fabric_signature(options);
-  key.optimize = options.optimize;
   return ProgramCache::global().get_or_compile(
       key,
       [bits] {
@@ -61,7 +36,6 @@ std::shared_ptr<const CompiledProgram> cached_masked_equality(
   key.workload = "masked_equality";
   key.shape = bits;
   key.fabric_sig = fabric_signature(options);
-  key.optimize = options.optimize;
   return ProgramCache::global().get_or_compile(
       key,
       [bits] {
@@ -88,7 +62,6 @@ std::shared_ptr<const CompiledProgram> cached_ripple_adder(
   key.workload = "ripple_adder";
   key.shape = bits;
   key.fabric_sig = fabric_signature(options);
-  key.optimize = options.optimize;
   return ProgramCache::global().get_or_compile(
       key,
       [bits] {
@@ -103,98 +76,6 @@ std::shared_ptr<const CompiledProgram> cached_ripple_adder(
             });
       },
       options);
-}
-
-CompiledCamBank::CompiledCamBank(std::size_t rows, std::size_t word_bits,
-                                 const CompileOptions& options,
-                                 bool optimize_replay)
-    : word_bits_(word_bits),
-      optimize_replay_(optimize_replay),
-      program_(cached_masked_equality(word_bits, options)),
-      value_(rows, std::vector<bool>(word_bits, false)),
-      care_(rows, std::vector<bool>(word_bits, false)),
-      valid_(rows, false) {
-  MEMCIM_CHECK_MSG(rows >= 1, "CAM bank needs >= 1 row");
-}
-
-void CompiledCamBank::write_row(std::size_t row,
-                                const std::vector<bool>& word) {
-  MEMCIM_CHECK_MSG(row < valid_.size(), "CAM row out of range");
-  MEMCIM_CHECK_MSG(word.size() == word_bits_, "CAM word width mismatch");
-  value_[row] = word;
-  care_[row].assign(word_bits_, true);
-  valid_[row] = true;
-}
-
-void CompiledCamBank::write_row_ternary(std::size_t row,
-                                        const std::vector<CamBit>& word) {
-  MEMCIM_CHECK_MSG(row < valid_.size(), "CAM row out of range");
-  MEMCIM_CHECK_MSG(word.size() == word_bits_, "CAM word width mismatch");
-  for (std::size_t i = 0; i < word_bits_; ++i) {
-    value_[row][i] = word[i] == CamBit::kOne;
-    care_[row][i] = word[i] != CamBit::kDontCare;
-  }
-  valid_[row] = true;
-}
-
-void CompiledCamBank::erase_row(std::size_t row) {
-  MEMCIM_CHECK_MSG(row < valid_.size(), "CAM row out of range");
-  valid_[row] = false;
-}
-
-CamBankSearchResult CompiledCamBank::search(const std::vector<bool>& key) {
-  MEMCIM_CHECK_MSG(key.size() == word_bits_, "CAM key width mismatch");
-  const std::size_t rows = valid_.size();
-  std::vector<std::vector<bool>> windows(rows);
-  for (std::size_t r = 0; r < rows; ++r) {
-    std::vector<bool>& in = windows[r];
-    in.reserve(3 * word_bits_ + 1);
-    in.insert(in.end(), key.begin(), key.end());
-    in.insert(in.end(), value_[r].begin(), value_[r].end());
-    in.insert(in.end(), care_[r].begin(), care_[r].end());
-    in.push_back(valid_[r]);
-  }
-  CamBankSearchResult out;
-  const PackedRunResult result =
-      replay_kernel(*program_, optimize_replay_, windows, out.books);
-  for (std::size_t r = 0; r < rows; ++r)
-    if (result.outputs[r]) out.matching_rows.push_back(r);
-  return out;
-}
-
-CompiledAddResult run_compiled_add(std::size_t width,
-                                   const std::vector<std::uint64_t>& op_a,
-                                   const std::vector<std::uint64_t>& op_b,
-                                   const CompileOptions& options,
-                                   bool optimize_replay) {
-  MEMCIM_CHECK_MSG(op_a.size() == op_b.size(),
-                   "operand batches must be the same size");
-  MEMCIM_CHECK_MSG(!op_a.empty(), "compiled add needs >= 1 operand pair");
-  const std::shared_ptr<const CompiledProgram> program =
-      cached_ripple_adder(width, options);
-
-  std::vector<std::vector<bool>> windows(op_a.size());
-  for (std::size_t i = 0; i < op_a.size(); ++i) {
-    std::vector<bool>& in = windows[i];
-    in.reserve(2 * width);
-    for (std::size_t bit = 0; bit < width; ++bit)
-      in.push_back(((op_a[i] >> bit) & 1u) != 0);
-    for (std::size_t bit = 0; bit < width; ++bit)
-      in.push_back(((op_b[i] >> bit) & 1u) != 0);
-  }
-
-  CompiledAddResult out;
-  const PackedRunResult result =
-      replay_kernel(*program, optimize_replay, windows, out.books);
-  out.sums.reserve(op_a.size());
-  for (std::size_t i = 0; i < op_a.size(); ++i) {
-    std::uint64_t sum = 0;
-    const std::vector<bool>& bits = result.wide[i];
-    for (std::size_t bit = 0; bit < bits.size(); ++bit)
-      if (bits[bit]) sum |= std::uint64_t{1} << bit;
-    out.sums.push_back(sum);
-  }
-  return out;
 }
 
 }  // namespace memcim::isa

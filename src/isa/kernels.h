@@ -1,21 +1,19 @@
-// Cached workload kernels: the compile-once/replay-many entry points
-// the tile, CAM and adder wiring call into.
+// Cached workload kernels: the compile-once/replay-many entry points.
 //
 // Each kernel records its gate-library microcode ONCE per (shape,
-// fabric, optimize) key into the global ProgramCache and replays the
-// compiled artifact thereafter.  Replay books reconcile exactly with a
-// scalar run_program_simd of the same program (the packed-engine
-// guarantee); the *source* form additionally reconciles with the
-// legacy hand-rolled walks (e.g. CimTile::parallel_compare's per-row
-// fabric loop) — see docs/ISA.md for the reconciliation table.
+// fabric) key into the global ProgramCache and replays the compiled
+// artifact thereafter.  Replay books reconcile exactly with a scalar
+// run_program_simd of the same program (the packed-engine guarantee);
+// the *source* form additionally reconciles with the fabric walk it was
+// recorded from (tests/arch/compare_engine_test.cpp keeps that walk as
+// the tile compare's oracle) — see docs/ISA.md for the reconciliation
+// table.
 #pragma once
 
-#include <cstdint>
+#include <cstddef>
 #include <memory>
-#include <vector>
 
 #include "isa/cache.h"
-#include "logic/cam.h"
 
 namespace memcim::isa {
 
@@ -34,63 +32,5 @@ namespace memcim::isa {
 /// sum bits LSB first, then the carry-out.
 [[nodiscard]] std::shared_ptr<const CompiledProgram> cached_ripple_adder(
     std::size_t bits, const CompileOptions& options = {});
-
-/// Books of one compiled-kernel batch replay.
-struct CompiledRunBooks {
-  Time latency{0.0};   ///< one program pass (windows concurrent)
-  Energy energy{0.0};  ///< summed over all windows
-  std::uint64_t writes = 0;
-  std::uint64_t pulses_per_window = 0;
-};
-
-struct CamBankSearchResult {
-  std::vector<std::size_t> matching_rows;
-  CompiledRunBooks books;
-};
-
-/// A CAM bank that searches with the compiled masked-equality kernel
-/// on the packed engine instead of walking device cells — the
-/// stateful-logic flavour of CrsCam, producing identical match sets
-/// (tests/isa/kernels_test.cpp holds the two equal).
-class CompiledCamBank {
- public:
-  /// `optimize_replay` selects the pass-pipeline program (fewer
-  /// pulses); false replays the recorded source form.
-  CompiledCamBank(std::size_t rows, std::size_t word_bits,
-                  const CompileOptions& options = {},
-                  bool optimize_replay = true);
-
-  [[nodiscard]] std::size_t rows() const { return valid_.size(); }
-  [[nodiscard]] std::size_t word_bits() const { return word_bits_; }
-
-  void write_row(std::size_t row, const std::vector<bool>& word);
-  void write_row_ternary(std::size_t row, const std::vector<CamBit>& word);
-  void erase_row(std::size_t row);
-
-  /// Parallel search: one packed replay across all rows.
-  [[nodiscard]] CamBankSearchResult search(const std::vector<bool>& key);
-
- private:
-  std::size_t word_bits_;
-  bool optimize_replay_;
-  std::shared_ptr<const CompiledProgram> program_;
-  std::vector<std::vector<bool>> value_;
-  std::vector<std::vector<bool>> care_;
-  std::vector<bool> valid_;
-};
-
-struct CompiledAddResult {
-  std::vector<std::uint64_t> sums;  ///< width+1 bits each (carry folded in)
-  CompiledRunBooks books;
-};
-
-/// Batch addition on the compiled ripple-adder kernel: every operand
-/// pair is one packed window.  The IMP-programmable counterpart of the
-/// CRS TC-adder farm (whose device books stay authoritative for the
-/// Table 2 numbers).
-[[nodiscard]] CompiledAddResult run_compiled_add(
-    std::size_t width, const std::vector<std::uint64_t>& op_a,
-    const std::vector<std::uint64_t>& op_b,
-    const CompileOptions& options = {}, bool optimize_replay = true);
 
 }  // namespace memcim::isa

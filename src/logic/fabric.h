@@ -52,6 +52,28 @@ inline FabricMetrics& fabric_metrics() {
   static FabricMetrics m;
   return m;
 }
+
+/// Program replay tallies, booked by the scalar run_program* paths and
+/// the packed engine alike.  Resolved lazily, like fabric_metrics().
+struct ProgramMetrics {
+  telemetry::Counter& runs;
+  telemetry::Counter& instructions;
+  telemetry::Counter& imply_steps;
+  telemetry::Counter& simd_windows;
+  ProgramMetrics()
+      : runs(telemetry::Registry::global().counter("program.runs")),
+        instructions(
+            telemetry::Registry::global().counter("program.instructions")),
+        imply_steps(
+            telemetry::Registry::global().counter("program.imply_steps")),
+        simd_windows(
+            telemetry::Registry::global().counter("program.simd_windows")) {}
+};
+
+inline ProgramMetrics& program_metrics() {
+  static ProgramMetrics m;
+  return m;
+}
 }  // namespace detail
 
 /// Register index within a fabric.

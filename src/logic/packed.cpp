@@ -241,14 +241,11 @@ PackedRunResult run_program_packed(
     fm.reads.add(w64 * static_cast<std::uint64_t>(n_out));
     fm.steps.add(w64 * steps_pw);
     fm.writes.add(result.writes);
-    telemetry::Registry::global().counter("program.runs").add(w64);
-    telemetry::Registry::global()
-        .counter("program.instructions")
-        .add(w64 * compiled.length());
-    telemetry::Registry::global()
-        .counter("program.imply_steps")
-        .add(w64 * compiled.implies_per_window);
-    telemetry::Registry::global().counter("program.simd_windows").add(w64);
+    detail::ProgramMetrics& prm = detail::program_metrics();
+    prm.runs.add(w64);
+    prm.instructions.add(w64 * compiled.length());
+    prm.imply_steps.add(w64 * compiled.implies_per_window);
+    prm.simd_windows.add(w64);
     PackedMetrics& pm = packed_metrics();
     pm.runs.add(1);
     pm.windows.add(w64);

@@ -7,33 +7,13 @@ namespace memcim {
 
 namespace {
 
-struct ProgramMetrics {
-  telemetry::Counter& runs;
-  telemetry::Counter& instructions;
-  telemetry::Counter& imply_steps;
-  telemetry::Counter& simd_windows;
-  ProgramMetrics()
-      : runs(telemetry::Registry::global().counter("program.runs")),
-        instructions(
-            telemetry::Registry::global().counter("program.instructions")),
-        imply_steps(
-            telemetry::Registry::global().counter("program.imply_steps")),
-        simd_windows(
-            telemetry::Registry::global().counter("program.simd_windows")) {}
-};
-
-ProgramMetrics& program_metrics() {
-  static ProgramMetrics m;
-  return m;
-}
-
 /// Telemetry-booking full replay used by the run_program* entry points.
 void replay(const CimProgram& program, Fabric& fabric, Reg base,
             const std::vector<bool>& inputs) {
   const std::uint64_t implies =
       replay_program_window(program, fabric, base, inputs);
   if (telemetry::enabled()) {
-    ProgramMetrics& m = program_metrics();
+    detail::ProgramMetrics& m = detail::program_metrics();
     m.runs.add(1);
     m.instructions.add(program.instructions.size());
     m.imply_steps.add(implies);
@@ -111,7 +91,7 @@ SimdRunResult run_program_simd(
     const CimProgram& program, Fabric& fabric,
     const std::vector<std::vector<bool>>& input_sets) {
   MEMCIM_CHECK_MSG(!input_sets.empty(), "SIMD run needs at least one window");
-  program_metrics().simd_windows.add(input_sets.size());
+  detail::program_metrics().simd_windows.add(input_sets.size());
   fabric.reset_counters();
   SimdRunResult result;
   result.outputs.reserve(input_sets.size());
@@ -135,7 +115,7 @@ SimdWideResult run_program_simd_wide(
     const CimProgram& program, Fabric& fabric,
     const std::vector<std::vector<bool>>& input_sets) {
   MEMCIM_CHECK_MSG(!input_sets.empty(), "SIMD run needs at least one window");
-  program_metrics().simd_windows.add(input_sets.size());
+  detail::program_metrics().simd_windows.add(input_sets.size());
   fabric.reset_counters();
   const std::vector<Reg> outs = result_registers(program);
   SimdWideResult result;

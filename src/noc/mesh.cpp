@@ -7,6 +7,7 @@
 #include <string>
 
 #include "common/error.h"
+#include "common/rng.h"
 #include "telemetry/telemetry.h"
 #include "telemetry/trace_export.h"
 
@@ -16,17 +17,10 @@ namespace {
 
 inline constexpr NocCycle kNever = std::numeric_limits<NocCycle>::max();
 
-/// splitmix64 finalizer — per-flit wire data from the packet digest.
-[[nodiscard]] std::uint64_t mix(std::uint64_t x) {
-  x += 0x9E3779B97F4A7C15ull;
-  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ull;
-  x = (x ^ (x >> 27)) * 0x94D049BB133111EBull;
-  return x ^ (x >> 31);
-}
-
 [[nodiscard]] std::uint64_t flit_word(std::uint64_t fingerprint,
                                       std::size_t flit_index) {
-  return mix(fingerprint ^ (0xF117ull + static_cast<std::uint64_t>(flit_index)));
+  return splitmix64(fingerprint ^
+                    (0xF117ull + static_cast<std::uint64_t>(flit_index)));
 }
 
 }  // namespace

@@ -24,6 +24,7 @@
 // recompute the totals from event counts exactly.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 
 #include "common/units.h"
@@ -59,6 +60,13 @@ struct NocParams {
   Length link_length{1e-3};            ///< 1 mm tile-to-tile wire
   NocTech tech{};
 };
+
+/// Flits needed to carry `bits` of payload (at least one).
+[[nodiscard]] inline std::size_t flits_for_bits(std::size_t bits,
+                                                const NocParams& params) {
+  return std::max<std::size_t>(
+      1, (bits + params.flit_payload_bits - 1) / params.flit_payload_bits);
+}
 
 /// Per-event dynamic energies of one router, derived Orion-style from
 /// NocParams.  All four quanta are fixed once the parameters are, so

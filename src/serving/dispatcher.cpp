@@ -1,30 +1,15 @@
 #include "serving/dispatcher.h"
 
-#include <algorithm>
-
 #include "arch/partitioner.h"
 #include "common/error.h"
 #include "common/parallel.h"
+#include "common/rng.h"
 #include "telemetry/attribution.h"
 #include "workloads/parallel_add.h"
 
 namespace memcim::serving {
 
 namespace {
-
-/// splitmix64 finalizer — packet payload fingerprints (same scheme as
-/// the sharded workloads).
-std::uint64_t mix_fingerprint(std::uint64_t x) {
-  x += 0x9E3779B97F4A7C15ull;
-  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ull;
-  x = (x ^ (x >> 27)) * 0x94D049BB133111EBull;
-  return x ^ (x >> 31);
-}
-
-std::size_t flits_for_bits(std::size_t bits, const NocParams& params) {
-  return std::max<std::size_t>(
-      1, (bits + params.flit_payload_bits - 1) / params.flit_payload_bits);
-}
 
 /// Command/completion descriptor overhead: opcode + window tag +
 /// checksum, on top of the request payload bits.
@@ -66,17 +51,9 @@ BatchDispatcher::BatchDispatcher(
                    "CAM rows exceed the bank capacity");
   cams_.reserve(tiles);
   for (std::size_t t = 0; t < tiles; ++t) cams_.emplace_back(config_.cam);
-  if (config_.cam_engine == CamEngine::kCompiled) {
-    compiled_cams_.reserve(tiles);
-    for (std::size_t t = 0; t < tiles; ++t)
-      compiled_cams_.emplace_back(config_.cam.rows, config_.cam.word_bits);
-  }
   for (std::size_t r = 0; r < cam_rows.size(); ++r) {
     MEMCIM_CHECK(cam_rows[r].size() == config_.cam.word_bits);
     cams_[r / config_.cam.rows].write_row(r % config_.cam.rows, cam_rows[r]);
-    if (config_.cam_engine == CamEngine::kCompiled)
-      compiled_cams_[r / config_.cam.rows].write_row(r % config_.cam.rows,
-                                                     cam_rows[r]);
   }
 }
 
@@ -92,7 +69,7 @@ std::uint64_t BatchDispatcher::inject_pair(
   cmd.flits = flits_for_bits(cmd_bits, noc);
   cmd.tag = 2 * tile;
   cmd.release = release_base;
-  cmd.fingerprint = mix_fingerprint(fingerprint);
+  cmd.fingerprint = splitmix64(fingerprint);
   cmd.trace_id = cmd_ctx.trace_id;
   cmd.parent_span = cmd_ctx.span_id;
   const std::size_t cmd_handle = fabric_.noc().inject(cmd);
@@ -106,7 +83,7 @@ std::uint64_t BatchDispatcher::inject_pair(
   resp.tag = 2 * tile + 1;
   resp.after = cmd_handle;
   resp.release = compute_cycles;
-  resp.fingerprint = mix_fingerprint(fingerprint ^ 0xFEEDull);
+  resp.fingerprint = splitmix64(fingerprint ^ 0xFEEDull);
   resp.trace_id = resp_ctx.trace_id;
   resp.parent_span = resp_ctx.span_id;
   (void)fabric_.noc().inject(resp);
@@ -247,18 +224,7 @@ void BatchDispatcher::execute_cam(const Batch& batch, BatchExecution& out) {
     shard_ctx[t] = telemetry::current_trace_context();
     per_tile[t].reserve(queries);
     for (const Request& r : batch.requests) {
-      if (config_.cam_engine == CamEngine::kCompiled) {
-        // Same match set as the device walk, but costed by the cached
-        // masked-equality program's packed replay.
-        isa::CamBankSearchResult cr = compiled_cams_[t].search(r.key);
-        CamSearchResult sr;
-        sr.matching_rows = std::move(cr.matching_rows);
-        sr.latency = cr.books.latency;
-        sr.energy = cr.books.energy;
-        per_tile[t].push_back(std::move(sr));
-      } else {
-        per_tile[t].push_back(cams_[t].search(r.key));
-      }
+      per_tile[t].push_back(cams_[t].search(r.key));
       tile_latency[t] += per_tile[t].back().latency;
     }
   });
@@ -331,32 +297,8 @@ void BatchDispatcher::execute_add(const Batch& batch, BatchExecution& out) {
     const std::vector<std::uint64_t> b(
         op_b.begin() + static_cast<std::ptrdiff_t>(s.begin),
         op_b.begin() + static_cast<std::ptrdiff_t>(s.end));
-    if (config_.add_engine == AddEngine::kCompiledImply) {
-      // One packed window per operand pair on the cached IMP ripple
-      // adder.  The farm still has adders_per_tile physical slots, so
-      // wall latency runs the windows in ceil(ops/adders) back-to-back
-      // batches, like the TC farm.
-      isa::CompiledAddResult cr =
-          isa::run_compiled_add(config_.add_width, a, b);
-      ParallelAddResult r;
-      r.sums = std::move(cr.sums);
-      r.total_pulses = cr.books.pulses_per_window * s.size();
-      r.total_energy = cr.books.energy;
-      const std::size_t batches =
-          (s.size() + config_.adders_per_tile - 1) / config_.adders_per_tile;
-      r.latency = cr.books.latency * static_cast<double>(batches);
-      for (std::size_t i = 0; i < s.size(); ++i) {
-        // The TC farm reports sums mod 2^width; fold the compiled
-        // adder's carry-out away so the payload is engine-invariant.
-        r.sums[i] &= mask;
-        if (r.sums[i] != ((a[i] + b[i]) & mask)) ++r.mismatches;
-      }
-      r.used_packed_engine = true;
-      per_shard[t] = std::move(r);
-    } else {
-      per_shard[t] =
-          run_parallel_add_ops(params, fabric_.config().tile.cell, a, b);
-    }
+    per_shard[t] =
+        run_parallel_add_ops(params, fabric_.config().tile.cell, a, b);
   });
 
   for (const Shard& s : plan.shards) {

@@ -15,6 +15,10 @@
 //     adder farms (run_parallel_add_ops, packed engine); commands
 //     carry the operand pairs, completions the sums.
 //
+// Each class has exactly one compute path.  The CAM and adder paths
+// are costed by the device models (CRS CAM cells, CRS TC-adders), whose
+// books are the ones Table 2 uses.
+//
 // Batch compute runs one task per tile on the process thread pool;
 // results merge in tile order and the traffic replays in one NoC
 // session where each completion releases after its tile's compute
@@ -27,24 +31,11 @@
 #include <vector>
 
 #include "arch/tile_fabric.h"
-#include "isa/kernels.h"
 #include "logic/cam.h"
 #include "serving/coalescer.h"
 #include "serving/request.h"
 
 namespace memcim::serving {
-
-/// CAM search engine behind kCamSearch requests.
-enum class CamEngine : std::uint8_t {
-  kDevice,    ///< CrsCam cell walk (device-accurate energy; default)
-  kCompiled,  ///< cached masked-equality program on the packed engine
-};
-
-/// Adder engine behind kAddition requests.
-enum class AddEngine : std::uint8_t {
-  kTcFarm,         ///< CRS TC-adder farm (Table 2 device books; default)
-  kCompiledImply,  ///< cached IMP ripple-adder program, packed replay
-};
 
 /// Shape of the resident workload state behind the service.
 struct ServingWorkloadConfig {
@@ -55,12 +46,6 @@ struct ServingWorkloadConfig {
   std::size_t adders_per_tile = 16;
   /// Per-tile CAM geometry (rows × word_bits).
   CamConfig cam{};
-  /// Compiled engines are opt-in: payloads are bitwise identical to the
-  /// device paths (tests/serving/compiled_engines_test.cpp), but the
-  /// books follow the IMP programs' cost model instead of the device
-  /// models, so the defaults keep the committed bench baselines.
-  CamEngine cam_engine = CamEngine::kDevice;
-  AddEngine add_engine = AddEngine::kTcFarm;
 };
 
 /// What one executed batch reports back to the service loop.
@@ -111,7 +96,6 @@ class BatchDispatcher {
   TileFabric& fabric_;
   ServingWorkloadConfig config_;
   std::vector<CrsCam> cams_;
-  std::vector<isa::CompiledCamBank> compiled_cams_;
   std::size_t cam_rows_;
   std::uint64_t dispatched_batches_ = 0;
 };

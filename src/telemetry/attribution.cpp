@@ -55,8 +55,10 @@ std::string_view attr_layer_name(AttrLayer layer) {
 }
 
 AttributionBook& AttributionBook::global() {
-  static AttributionBook book;
-  return book;
+  // Never destroyed, like Registry::global(): pool workers and test
+  // threads can book attribution while static destructors run at exit.
+  static AttributionBook* const book = new AttributionBook();
+  return *book;
 }
 
 void AttributionBook::record(const AttrKey& key, const AttrDelta& delta) {

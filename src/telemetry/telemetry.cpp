@@ -280,8 +280,10 @@ const HistogramSample* MetricsSnapshot::histogram(
 // ---------------------------------------------------------------------------
 
 Registry& Registry::global() {
-  static Registry instance;
-  return instance;
+  // Heap-allocated and never destroyed: pool workers and test threads
+  // can book counters while static destructors run at exit.
+  static Registry* const instance = new Registry();
+  return *instance;
 }
 
 Counter& Registry::counter(std::string_view name) {
@@ -371,8 +373,10 @@ struct TraceState {
 };
 
 TraceState& trace_state() {
-  static TraceState state;
-  return state;
+  // Never destroyed, like Registry::global(): pool workers and test
+  // threads can open spans while static destructors run at exit.
+  static TraceState* const state = new TraceState();
+  return *state;
 }
 
 ThreadTraceBuffer& thread_buffer() {

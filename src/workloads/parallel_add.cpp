@@ -13,6 +13,12 @@ namespace memcim {
 
 namespace {
 
+/// Fan-out grain of the adder farm: ops per chunk on the scalar path,
+/// converted to whole 64-op lane blocks on the packed path.  Tuned so
+/// a chunk amortizes the pool hand-off but a default farm still splits
+/// across workers.
+constexpr std::size_t kParallelAddChunkGrain = 8;
+
 /// Record the workload tallies once, from the serial reduction totals,
 /// so they are bitwise identical at any MEMCIM_THREADS.
 void record_workload(const ParallelAddParams& params,
@@ -55,7 +61,7 @@ void run_scalar_farm(const ParallelAddParams& params,
     // Tile-level fan-out: each farm slot is an independent physical
     // adder, so the ops of one batch run concurrently — exactly the
     // in-array parallelism the paper's Table 1 budget assumes.
-    parallel_for(begin, end, params.chunk_grain, [&](std::size_t op) {
+    parallel_for(begin, end, kParallelAddChunkGrain, [&](std::size_t op) {
       batch_results[op - begin] = farm[op - begin].add(op_a[op], op_b[op]);
     });
     // Reduce in operation order: totals are identical at any thread
@@ -83,7 +89,8 @@ void run_packed_farm(const ParallelAddParams& params,
                      std::uint64_t max_operand, std::size_t batches,
                      ParallelAddResult& result) {
   PackedTcAdderFarm farm(params.adders, params.width, cell);
-  const PackedAddOutcome outcome = farm.run(op_a, op_b, params.chunk_grain);
+  const PackedAddOutcome outcome =
+      farm.run(op_a, op_b, kParallelAddChunkGrain);
 
   // The pulse schedule is constant-time, so every op reports the same
   // pulse count and latency as its scalar twin.
@@ -164,7 +171,6 @@ ParallelAddResult run_parallel_add_ops(const ParallelAddParams& params,
                                        const std::vector<std::uint64_t>& op_b) {
   MEMCIM_CHECK(params.operations > 0 && params.adders > 0);
   MEMCIM_CHECK(params.width >= 1 && params.width <= 63);
-  MEMCIM_CHECK(params.chunk_grain >= 1);
   MEMCIM_CHECK_MSG(op_a.size() == params.operations &&
                        op_b.size() == params.operations,
                    "operand batch sizes must equal params.operations");
@@ -175,16 +181,13 @@ ParallelAddResult run_parallel_add_ops(const ParallelAddParams& params,
       (std::uint64_t{1} << params.width) - 1;
 
   // Engine choice: armed fault hooks pin per-cell device state
-  // mid-schedule, which only the real device walk models — they force
-  // the scalar farm regardless of the requested engine.
-  bool packed = params.engine != AdderEngine::kScalar;
-  if (packed && params.farm_hook) {
-    packed = false;
-    if (telemetry::enabled())
-      telemetry::Registry::global()
-          .counter("logic.packed.adder_fallbacks")
-          .add(1);
-  }
+  // mid-schedule, which only the real device walk models — they are
+  // the one thing that selects the scalar farm.
+  const bool packed = !params.farm_hook;
+  if (!packed && telemetry::enabled())
+    telemetry::Registry::global()
+        .counter("logic.packed.adder_fallbacks")
+        .add(1);
 
   ParallelAddResult result;
   result.sums.assign(params.operations, 0);

@@ -6,13 +6,15 @@
 // the device models.
 //
 // Two execution engines produce bitwise-identical results (sums,
-// pulses, energy, latency, and every telemetry tally):
+// pulses, energy, latency, and every telemetry tally); the caller does
+// not pick one, the farm hook does:
 //
-//   * scalar — one CrsTcAdder device model per farm slot, pulses walked
-//     one at a time.  Required whenever fault hooks are armed (the
-//     hooks mutate per-cell device state mid-schedule).
 //   * packed — the compiled lane-block fast path (logic/packed_adder.h)
-//     with exact cost-book replay.  The default when no hooks are set.
+//     with exact cost-book replay.  Runs whenever no farm_hook is set.
+//   * scalar — one CrsTcAdder device model per farm slot, pulses walked
+//     one at a time.  Runs exactly when a farm_hook is armed (fault
+//     hooks mutate per-cell device state mid-schedule, which only real
+//     devices model).
 #pragma once
 
 #include <cstdint>
@@ -26,19 +28,6 @@
 
 namespace memcim {
 
-/// Fan-out grain of the adder farm: ops per chunk on the scalar path,
-/// converted to whole 64-op lane blocks on the packed path.  Tuned so
-/// a chunk amortizes the pool hand-off but a default farm still splits
-/// across workers.
-inline constexpr std::size_t kParallelAddChunkGrain = 8;
-
-/// Which adder engine run_parallel_add uses.
-enum class AdderEngine : std::uint8_t {
-  kAuto,    ///< packed fast path unless fault hooks are armed
-  kPacked,  ///< packed (still falls back to scalar when hooks are armed)
-  kScalar,  ///< force the per-device scalar farm
-};
-
 struct ParallelAddParams {
   std::size_t operations = 1024;  ///< batch size (paper: 10^6)
   std::size_t width = 32;         ///< operand width in bits
@@ -46,11 +35,8 @@ struct ParallelAddParams {
   /// Called once on the freshly built farm before any addition runs —
   /// the fault-campaign hook (src/fault/) pins stuck cells here.  The
   /// indirection keeps workloads independent of the fault subsystem.
-  /// Setting it forces the scalar engine: faults need real devices.
+  /// Setting it selects the scalar engine: faults need real devices.
   std::function<void(std::vector<CrsTcAdder>&)> farm_hook;
-  AdderEngine engine = AdderEngine::kAuto;
-  /// Parallel chunk grain (ops); see kParallelAddChunkGrain.
-  std::size_t chunk_grain = kParallelAddChunkGrain;
   /// Record ParallelAddResult::op_energy — the exact per-op doubles a
   /// sharded run re-folds in global op order so its totals are bitwise
   /// equal to a serial golden replay of the same shard plan.

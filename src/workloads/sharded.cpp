@@ -1,9 +1,8 @@
 #include "workloads/sharded.h"
 
-#include <algorithm>
-
 #include "common/error.h"
 #include "common/parallel.h"
+#include "common/rng.h"
 #include "telemetry/attribution.h"
 #include "telemetry/telemetry.h"
 #include "workloads/dna.h"
@@ -11,20 +10,6 @@
 namespace memcim {
 
 namespace {
-
-/// splitmix64 finalizer — packet payload fingerprints.
-std::uint64_t mix_fingerprint(std::uint64_t x) {
-  x += 0x9E3779B97F4A7C15ull;
-  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ull;
-  x = (x ^ (x >> 27)) * 0x94D049BB133111EBull;
-  return x ^ (x >> 31);
-}
-
-/// Flits needed to carry `bits` of payload (at least one).
-std::size_t flits_for_bits(std::size_t bits, const NocParams& params) {
-  return std::max<std::size_t>(
-      1, (bits + params.flit_payload_bits - 1) / params.flit_payload_bits);
-}
 
 /// Command/completion descriptors: opcode + range/tag + checksum.
 constexpr std::size_t kDescriptorBits = 128;
@@ -185,7 +170,7 @@ ShardedAddResult sharded_parallel_add(TileFabric& fabric,
     cmd.flits = desc_flits;
     cmd.tag = 2 * t;
     cmd.release = before.now;
-    cmd.fingerprint = mix_fingerprint(0xADD0ull ^ (t << 8) ^ s.begin);
+    cmd.fingerprint = splitmix64(0xADD0ull ^ (t << 8) ^ s.begin);
     cmd.trace_id = ctx.trace_id;
     cmd.parent_span = ctx.span_id;
     const std::size_t cmd_handle = fabric.noc().inject(cmd);
@@ -200,7 +185,7 @@ ShardedAddResult sharded_parallel_add(TileFabric& fabric,
     resp.tag = 2 * t + 1;
     resp.after = cmd_handle;
     resp.release = compute;
-    resp.fingerprint = mix_fingerprint(0xD0BEull ^ (t << 8) ^ s.end);
+    resp.fingerprint = splitmix64(0xD0BEull ^ (t << 8) ^ s.end);
     resp.trace_id = shard_ctx[t].trace_id;
     resp.parent_span = shard_ctx[t].span_id;
     (void)fabric.noc().inject(resp);
@@ -317,7 +302,7 @@ ShardedSearchResult sharded_kmer_search(
       cmd.tag = 2 * (t * queries.size() + q);
       cmd.after = prev;
       cmd.release = prev == kNoPacket ? before.now : 0;
-      cmd.fingerprint = mix_fingerprint(0x5EA4ull ^ (t << 16) ^ q);
+      cmd.fingerprint = splitmix64(0x5EA4ull ^ (t << 16) ^ q);
       cmd.trace_id = ctx.trace_id;
       cmd.parent_span = ctx.span_id;
       const std::size_t cmd_handle = fabric.noc().inject(cmd);
@@ -332,7 +317,7 @@ ShardedSearchResult sharded_kmer_search(
       resp.tag = cmd.tag + 1;
       resp.after = cmd_handle;
       resp.release = compute;
-      resp.fingerprint = mix_fingerprint(0x4E5Full ^ (t << 16) ^ q);
+      resp.fingerprint = splitmix64(0x4E5Full ^ (t << 16) ^ q);
       resp.trace_id = shard_ctx[t].trace_id;
       resp.parent_span = shard_ctx[t].span_id;
       prev = fabric.noc().inject(resp);
@@ -421,7 +406,7 @@ ShardedCamBank::BankSearchResult ShardedCamBank::search(
     cmd.flits = key_flits;
     cmd.tag = 2 * t;
     cmd.release = before.now;
-    cmd.fingerprint = mix_fingerprint(0xCA4Bull ^ (t << 8));
+    cmd.fingerprint = splitmix64(0xCA4Bull ^ (t << 8));
     cmd.trace_id = ctx.trace_id;
     cmd.parent_span = ctx.span_id;
     const std::size_t cmd_handle = fabric_.noc().inject(cmd);
@@ -437,7 +422,7 @@ ShardedCamBank::BankSearchResult ShardedCamBank::search(
     resp.after = cmd_handle;
     resp.release = compute;
     resp.fingerprint =
-        mix_fingerprint(0xB4CAull ^ (t << 8) ^ per_tile[t].matching_rows.size());
+        splitmix64(0xB4CAull ^ (t << 8) ^ per_tile[t].matching_rows.size());
     resp.trace_id = shard_ctx[t].trace_id;
     resp.parent_span = shard_ctx[t].span_id;
     (void)fabric_.noc().inject(resp);

@@ -1,14 +1,18 @@
-// Tile compare engines: the compiled (cached-program) default must be
-// a drop-in for the legacy scalar walk — bitwise-identical match
-// vectors AND an exactly reconciled cost book; the optimized engine
-// keeps the matches and carries its own books.
+// Tile compare: CimTile::parallel_compare replays the cached
+// word-equality program on the packed engine.  It must be a drop-in for
+// the per-row IdealFabric walk the program was recorded from, which
+// this test keeps as the oracle — bitwise-identical match vectors AND
+// an exactly reconciled cost book.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "arch/cim_tile.h"
 #include "common/rng.h"
 #include "device/presets.h"
+#include "logic/comparator.h"
+#include "logic/ideal_fabric.h"
 
 namespace memcim {
 namespace {
@@ -19,64 +23,69 @@ std::vector<bool> random_word(std::size_t bits, Rng& rng) {
   return w;
 }
 
-CimTileConfig tile_config(CompareEngine engine) {
+/// The scalar per-row walk: each row owns its slice of the fabric and
+/// rows run concurrently, so one compare costs the slowest row's
+/// latency and the sum of the rows' energies, folded in row order.
+class ScalarCompareOracle {
+ public:
+  explicit ScalarCompareOracle(const LogicCostModel& cost) : cost_(cost) {}
+
+  std::vector<bool> compare(const std::vector<std::vector<bool>>& rows,
+                            const std::vector<bool>& key) {
+    std::vector<bool> matches(rows.size());
+    Time worst_row_latency{0.0};
+    Energy total_energy{0.0};
+    for (std::size_t r = 0; r < rows.size(); ++r) {
+      IdealFabric fabric(cost_);
+      const std::vector<Reg> key_regs = load_word(fabric, key);
+      const std::vector<Reg> row_regs = load_word(fabric, rows[r]);
+      const Reg eq = word_equality(fabric, key_regs, row_regs);
+      matches[r] = fabric.read(eq);
+      worst_row_latency = std::max(worst_row_latency, fabric.latency());
+      total_energy += fabric.energy();
+    }
+    latency += worst_row_latency;
+    energy += total_energy;
+    return matches;
+  }
+
+  Time latency{0.0};
+  Energy energy{0.0};
+
+ private:
+  LogicCostModel cost_;
+};
+
+TEST(CompareEngine, CompiledReproducesTheScalarWalkExactly) {
   CimTileConfig cfg;
   cfg.rows = 8;
   cfg.row_bits = 12;
   cfg.cell = presets::crs_cell();
-  cfg.compare_engine = engine;
-  return cfg;
-}
-
-TEST(CompareEngine, CompiledReproducesTheScalarWalkExactly) {
-  CimTile scalar(tile_config(CompareEngine::kScalar));
-  CimTile compiled(tile_config(CompareEngine::kCompiled));
+  CimTile tile(cfg);
+  ScalarCompareOracle oracle(cfg.cost);
 
   Rng rng(0x71EEull);
-  for (std::size_t r = 0; r < 8; ++r) {
-    const std::vector<bool> row = random_word(12, rng);
-    scalar.store_row(r, row);
-    compiled.store_row(r, row);
+  std::vector<std::vector<bool>> rows;
+  for (std::size_t r = 0; r < cfg.rows; ++r) {
+    rows.push_back(random_word(cfg.row_bits, rng));
+    tile.store_row(r, rows.back());
   }
 
   for (int q = 0; q < 32; ++q) {
     // Mix random keys with exact row hits so matches actually fire.
     const std::vector<bool> key =
-        (q % 4 == 0) ? scalar.load_row(static_cast<std::size_t>(q) % 8)
-                     : random_word(12, rng);
-    EXPECT_EQ(compiled.parallel_compare(key), scalar.parallel_compare(key))
+        (q % 4 == 0) ? rows[static_cast<std::size_t>(q) % cfg.rows]
+                     : random_word(cfg.row_bits, rng);
+    EXPECT_EQ(tile.parallel_compare(key), oracle.compare(rows, key))
         << "query " << q;
     // Book-exact: same accumulated latency and energy after every query.
-    EXPECT_EQ(compiled.stats().latency.value(), scalar.stats().latency.value())
+    EXPECT_EQ(tile.stats().latency.value(), oracle.latency.value())
         << "query " << q;
-    EXPECT_EQ(compiled.stats().energy.value(), scalar.stats().energy.value())
+    EXPECT_EQ(tile.stats().energy.value(), oracle.energy.value())
         << "query " << q;
-    EXPECT_EQ(compiled.stats().operations, scalar.stats().operations);
+    EXPECT_EQ(tile.stats().operations,
+              static_cast<std::uint64_t>(q + 1) * cfg.rows);
   }
-}
-
-TEST(CompareEngine, OptimizedEngineKeepsTheMatchesAndShedsPulses) {
-  CimTile scalar(tile_config(CompareEngine::kScalar));
-  CimTile optimized(tile_config(CompareEngine::kCompiledOptimized));
-
-  Rng rng(0x0BD7ull);
-  for (std::size_t r = 0; r < 8; ++r) {
-    const std::vector<bool> row = random_word(12, rng);
-    scalar.store_row(r, row);
-    optimized.store_row(r, row);
-  }
-
-  for (int q = 0; q < 16; ++q) {
-    const std::vector<bool> key =
-        (q % 4 == 0) ? scalar.load_row(static_cast<std::size_t>(q) % 8)
-                     : random_word(12, rng);
-    EXPECT_EQ(optimized.parallel_compare(key), scalar.parallel_compare(key))
-        << "query " << q;
-  }
-  // Fewer pulses -> the optimized engine's accumulated energy book is
-  // strictly below the scalar walk's (its latency no worse).
-  EXPECT_LT(optimized.stats().energy.value(), scalar.stats().energy.value());
-  EXPECT_LE(optimized.stats().latency.value(), scalar.stats().latency.value());
 }
 
 }  // namespace

@@ -1,6 +1,6 @@
 // Program cache: hit/miss accounting, key separation across workload,
-// shape, fabric signature and optimize flag, and a builder that runs
-// exactly once per key even under concurrent lookups.
+// shape and fabric signature, and a builder that runs exactly once per
+// key even under concurrent lookups.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -26,7 +26,6 @@ ProgramKey key_of(const std::string& workload, std::uint64_t shape,
   key.workload = workload;
   key.shape = shape;
   key.fabric_sig = fabric_signature(options);
-  key.optimize = options.optimize;
   return key;
 }
 
@@ -77,13 +76,9 @@ TEST(ProgramCache, EveryKeyComponentSeparatesArtifacts) {
   hot.cost.e_write = hot.cost.e_write * 2.0;
   EXPECT_NE(fabric_signature(options), fabric_signature(hot));
   (void)cache.get_or_compile(key_of("test.and", 2, hot), builder, hot);
-  // Optimize flag.
-  CompileOptions raw = options;
-  raw.optimize = false;
-  (void)cache.get_or_compile(key_of("test.and", 2, raw), builder, raw);
 
-  EXPECT_EQ(cache.size(), 6u);
-  EXPECT_EQ(cache.misses(), 6u);
+  EXPECT_EQ(cache.size(), 5u);
+  EXPECT_EQ(cache.misses(), 5u);
   EXPECT_EQ(cache.hits(), 0u);
 }
 

@@ -1,8 +1,8 @@
-// Cached workload kernels: the compiled CAM bank matches the CRS
-// device CAM row for row (binary, ternary and erased rows), the
-// compiled adder matches native addition, and the packed replay books
-// reconcile exactly with a scalar run_program_simd of the same
-// program.
+// Cached workload kernels: a packed replay of the masked-equality
+// kernel matches the CRS device CAM row for row (binary, ternary and
+// erased rows), the ripple-adder kernel's wide outputs match native
+// addition, and the packed replay books reconcile exactly with a
+// scalar run_program_simd of the same program.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -11,6 +11,7 @@
 #include "common/rng.h"
 #include "device/presets.h"
 #include "isa/kernels.h"
+#include "logic/cam.h"
 #include "logic/ideal_fabric.h"
 #include "logic/packed.h"
 
@@ -23,6 +24,14 @@ std::vector<bool> random_word(std::size_t bits, Rng& rng) {
   return w;
 }
 
+/// Packed replay of one compiled form across `windows`.
+PackedRunResult replay(const CompiledProgram& program, bool optimized,
+                       const std::vector<std::vector<bool>>& windows) {
+  return run_program_packed(
+      optimized ? program.packed_optimized : program.packed_source, windows,
+      optimized ? program.run_optimized : program.run_source);
+}
+
 TEST(CompiledCamBank, MatchesCrsCamOnBinaryTernaryAndErasedRows) {
   constexpr std::size_t kRows = 16;
   constexpr std::size_t kBits = 8;
@@ -31,7 +40,11 @@ TEST(CompiledCamBank, MatchesCrsCamOnBinaryTernaryAndErasedRows) {
   device_config.word_bits = kBits;
   device_config.cell = presets::crs_cell();
   CrsCam device(device_config);
-  CompiledCamBank compiled(kRows, kBits);
+  // The bank the kernel searches: per row a stored value, a care mask
+  // (1 = bit participates) and a valid bit.
+  std::vector<std::vector<bool>> value(kRows, std::vector<bool>(kBits));
+  std::vector<std::vector<bool>> care(kRows, std::vector<bool>(kBits));
+  std::vector<bool> valid(kRows, false);
 
   Rng rng(0xCA3Bull);
   for (std::size_t r = 0; r < kRows; ++r) {
@@ -43,42 +56,50 @@ TEST(CompiledCamBank, MatchesCrsCamOnBinaryTernaryAndErasedRows) {
         word[i] = roll < 0.3   ? CamBit::kDontCare
                   : roll < 0.65 ? CamBit::kOne
                                 : CamBit::kZero;
+        value[r][i] = word[i] == CamBit::kOne;
+        care[r][i] = word[i] != CamBit::kDontCare;
       }
       device.write_row_ternary(r, word);
-      compiled.write_row_ternary(r, word);
     } else {
-      const std::vector<bool> word = random_word(kBits, rng);
-      device.write_row(r, word);
-      compiled.write_row(r, word);
+      value[r] = random_word(kBits, rng);
+      care[r].assign(kBits, true);
+      device.write_row(r, value[r]);
     }
+    valid[r] = true;
   }
-  // Rewrite-then-erase must leave the row matching nothing.
-  device.write_row(7, random_word(kBits, rng));
-  compiled.write_row(7, random_word(kBits, rng));
+  // Rewrite-then-erase must leave the row matching nothing, whatever
+  // value it still holds.
+  value[7] = random_word(kBits, rng);
+  care[7].assign(kBits, true);
+  device.write_row(7, value[7]);
   device.erase_row(7);
-  compiled.erase_row(7);
+  valid[7] = false;
 
+  const auto program = cached_masked_equality(kBits);
   for (int q = 0; q < 64; ++q) {
-    const std::vector<bool> key = random_word(kBits, rng);
-    const CamSearchResult d = device.search(key);
-    const CamBankSearchResult c = compiled.search(key);
-    EXPECT_EQ(c.matching_rows, d.matching_rows) << "query " << q;
-    EXPECT_GT(c.books.pulses_per_window, 0u);
-  }
-  // Replaying the unoptimized source form finds the same rows too.
-  CompiledCamBank source_form(kRows, kBits, CompileOptions{},
-                              /*optimize_replay=*/false);
-  for (std::size_t r = 0; r < kRows; ++r) {
-    if (r == 7 || r % 4 == 3) continue;
-    std::vector<CamBit> row(kBits);
-    for (std::size_t i = 0; i < kBits; ++i) row[i] = device.read_row(r)[i];
-    source_form.write_row_ternary(r, row);
-  }
-  for (int q = 0; q < 16; ++q) {
-    const std::vector<bool> key = random_word(kBits, rng);
-    EXPECT_EQ(source_form.search(key).matching_rows,
-              device.search(key).matching_rows)
-        << "source-form query " << q;
+    // Every 4th key is a stored value, so matches actually fire (and
+    // the erased row's leftover value must still miss).
+    const std::vector<bool> key =
+        (q % 4 == 0) ? value[static_cast<std::size_t>(q / 4) % kRows]
+                     : random_word(kBits, rng);
+    std::vector<std::vector<bool>> windows(kRows);
+    for (std::size_t r = 0; r < kRows; ++r) {
+      std::vector<bool>& in = windows[r];
+      in.insert(in.end(), key.begin(), key.end());
+      in.insert(in.end(), value[r].begin(), value[r].end());
+      in.insert(in.end(), care[r].begin(), care[r].end());
+      in.push_back(valid[r]);
+    }
+    const std::vector<std::size_t> expected = device.search(key).matching_rows;
+    for (const bool optimized : {true, false}) {
+      const PackedRunResult result = replay(*program, optimized, windows);
+      std::vector<std::size_t> matching_rows;
+      for (std::size_t r = 0; r < kRows; ++r)
+        if (result.outputs[r]) matching_rows.push_back(r);
+      EXPECT_EQ(matching_rows, expected)
+          << (optimized ? "optimized" : "source") << " query " << q;
+      EXPECT_GT(result.steps_per_window, 0u);
+    }
   }
 }
 
@@ -88,21 +109,32 @@ TEST(CompiledAdd, MatchesNativeAdditionOnBothForms) {
   Rng rng(0xADD5ull);
   std::vector<std::uint64_t> a(kOps), b(kOps);
   const std::uint64_t mask = (std::uint64_t{1} << kWidth) - 1;
+  std::vector<std::vector<bool>> windows(kOps);
   for (std::size_t i = 0; i < kOps; ++i) {
     a[i] = static_cast<std::uint64_t>(
                rng.uniform_int(0, static_cast<std::int64_t>(mask)));
     b[i] = static_cast<std::uint64_t>(
                rng.uniform_int(0, static_cast<std::int64_t>(mask)));
+    for (std::size_t bit = 0; bit < kWidth; ++bit)
+      windows[i].push_back(((a[i] >> bit) & 1u) != 0);
+    for (std::size_t bit = 0; bit < kWidth; ++bit)
+      windows[i].push_back(((b[i] >> bit) & 1u) != 0);
   }
+  const auto program = cached_ripple_adder(kWidth);
   for (const bool optimized : {true, false}) {
-    const CompiledAddResult r =
-        run_compiled_add(kWidth, a, b, CompileOptions{}, optimized);
-    ASSERT_EQ(r.sums.size(), kOps);
-    for (std::size_t i = 0; i < kOps; ++i)
-      EXPECT_EQ(r.sums[i], a[i] + b[i])
+    const PackedRunResult r = replay(*program, optimized, windows);
+    ASSERT_EQ(r.wide.size(), kOps);
+    for (std::size_t i = 0; i < kOps; ++i) {
+      // Sum bits LSB first, then the carry-out as bit kWidth.
+      ASSERT_EQ(r.wide[i].size(), kWidth + 1);
+      std::uint64_t sum = 0;
+      for (std::size_t bit = 0; bit <= kWidth; ++bit)
+        if (r.wide[i][bit]) sum |= std::uint64_t{1} << bit;
+      EXPECT_EQ(sum, a[i] + b[i])
           << (optimized ? "optimized" : "source") << " op " << i;
-    EXPECT_GT(r.books.writes, 0u);
-    EXPECT_GT(r.books.latency.value(), 0.0);
+    }
+    EXPECT_GT(r.writes, 0u);
+    EXPECT_GT(r.latency.value(), 0.0);
   }
 }
 
