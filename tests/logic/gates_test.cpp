@@ -66,6 +66,11 @@ struct GateCase {
   bool preserves_inputs;
 };
 
+// Print a case as its gate name. The default byte dump holds function
+// and string pointers, so under address-space randomisation it would
+// give the discovered test a new name on every build.
+void PrintTo(const GateCase& gc, std::ostream* os) { *os << gc.name; }
+
 const GateCase kGateCases[] = {
     {"nand", gate_nand, [](bool a, bool b) { return !(a && b); }, cost_nand,
      true},
