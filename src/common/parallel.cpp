@@ -163,7 +163,11 @@ ThreadPool& pool() {
 
 }  // namespace
 
-std::size_t parallel_threads() { return pool().size(); }
+std::size_t parallel_threads() {
+  // Reporting the size must not spawn the workers.
+  std::lock_guard<std::mutex> lock(g_pool_mutex);
+  return g_pool ? g_pool->size() : default_thread_count();
+}
 
 void set_parallel_threads(std::size_t n) {
   const std::size_t target = n > 0 ? n : default_thread_count();

@@ -94,6 +94,13 @@ std::size_t MeshNoc::inject(const NocPacket& packet) {
   const std::size_t handle = packets_.size();
   PacketState ps;
   ps.packet = packet;
+  if (packet.after != kNoPacket && !deliveries_[packet.after].done) {
+    PacketState& dep = packets_[packet.after];
+    ps.next_dependent = dep.first_dependent;
+    dep.first_dependent = handle;
+  } else {
+    ready_.push_back(handle);
+  }
   packets_.push_back(ps);
   NocDelivery d;
   d.tag = packet.tag;
@@ -115,30 +122,16 @@ std::size_t MeshNoc::inject(const NocPacket& packet) {
 }
 
 void MeshNoc::resolve_releases() {
-  for (std::size_t h = release_frontier_; h < packets_.size(); ++h) {
+  for (const std::size_t h : ready_) {
     PacketState& ps = packets_[h];
-    if (ps.release_resolved) continue;
-    if (ps.packet.after == kNoPacket) {
-      ps.released = ps.packet.release;
-    } else if (deliveries_[ps.packet.after].done) {
-      ps.released = deliveries_[ps.packet.after].delivered + ps.packet.release;
-    } else {
-      continue;
-    }
-    ps.release_resolved = true;
+    ps.released = ps.packet.release;
+    if (ps.packet.after != kNoPacket)
+      ps.released += deliveries_[ps.packet.after].delivered;
     deliveries_[h].released = ps.released;
     nics_[ps.packet.src].push_back(h);
   }
-  while (release_frontier_ < packets_.size() &&
-         packets_[release_frontier_].release_resolved)
-    ++release_frontier_;
-}
-
-bool MeshNoc::idle() const {
-  if (in_flight_flits_ != 0) return false;
-  for (const auto& nic : nics_)
-    if (!nic.empty()) return false;
-  return true;
+  nic_queued_ += ready_.size();
+  ready_.clear();
 }
 
 NocCycle MeshNoc::next_release() const {
@@ -174,7 +167,9 @@ void MeshNoc::eject(const Flit& flit) {
   PacketState& ps = packets_[flit.packet];
   ++ps.flits_ejected;
   if (ps.flits_ejected == ps.packet.flits) {
-    ps.done = true;
+    for (std::size_t h = ps.first_dependent; h != kNoPacket;
+         h = packets_[h].next_dependent)
+      ready_.push_back(h);
     NocDelivery& d = deliveries_[flit.packet];
     d.delivered = now_;
     d.done = true;
@@ -203,32 +198,33 @@ void MeshNoc::eject(const Flit& flit) {
 }
 
 void MeshNoc::step_cycle() {
-  resolve_releases();
-
   // Phase A — switch allocation on start-of-cycle state.  Downstream
   // FIFO occupancies only change in phase B, so every credit check
   // below reads the same consistent snapshot regardless of router
-  // iteration order.
-  std::vector<Transfer> grants;
-  grants.reserve(nodes());
+  // iteration order.  Routers are visited in ascending node order, so
+  // ejections (and their trace spans) keep a fixed order.
+  grants_.clear();
   for (std::size_t node = 0; node < nodes(); ++node) {
     Router& router = routers_[node];
-    for (std::size_t out = 0; out < kNocPorts; ++out) {
-      const NocDir dir = static_cast<NocDir>(out);
-      // Gather whether any input head requests this output.
-      bool any_candidate = false;
-      std::size_t chosen = kNocPorts;
-      for (std::size_t scan = 0; scan < kNocPorts; ++scan) {
-        const std::size_t p = (router.rr[out] + scan) % kNocPorts;
-        const auto& fifo = router.in[p].fifo;
-        if (fifo.empty()) continue;
-        const Flit& head = fifo.front();
-        if (route(node, packets_[head.packet].packet.dst) != dir) continue;
-        any_candidate = true;
-        chosen = p;
-        break;
+    if (router.flits == 0) continue;
+    // Each input head requests exactly one output: its XY next hop.
+    std::size_t want[kNocPorts];
+    unsigned requested = 0;
+    for (std::size_t p = 0; p < kNocPorts; ++p) {
+      const auto& fifo = router.in[p].fifo;
+      if (fifo.empty()) {
+        want[p] = kNocPorts;
+        continue;
       }
-      if (!any_candidate) continue;
+      want[p] = static_cast<std::size_t>(
+          route(node, packets_[fifo.front().packet].packet.dst));
+      requested |= 1u << want[p];
+    }
+    for (std::size_t out = 0; out < kNocPorts; ++out) {
+      if ((requested & (1u << out)) == 0) continue;
+      const NocDir dir = static_cast<NocDir>(out);
+      std::size_t chosen = router.rr[out];
+      while (want[chosen] != out) chosen = (chosen + 1) % kNocPorts;
       if (dir != NocDir::kLocal) {
         const std::size_t dn = neighbor(node, dir);
         if (routers_[dn].in[entry_port(dir)].fifo.size() >=
@@ -237,16 +233,17 @@ void MeshNoc::step_cycle() {
           continue;
         }
       }
-      grants.push_back({node, chosen, dir});
+      grants_.push_back({node, chosen, dir});
       router.rr[out] = (chosen + 1) % kNocPorts;
     }
   }
 
   // Phase B — apply the granted transfers.
-  for (const Transfer& t : grants) {
+  for (const Transfer& t : grants_) {
     auto& fifo = routers_[t.node].in[t.in_port].fifo;
     const Flit flit = fifo.front();
     fifo.pop_front();
+    --routers_[t.node].flits;
     ++stats_.buffer_reads;
     ++stats_.xbar_traversals;
     if (t.out == NocDir::kLocal) {
@@ -262,6 +259,7 @@ void MeshNoc::step_cycle() {
     ++stats_.flit_hops;
     apply_link_faults(link, flit.packet, flit.index);
     routers_[dn].in[entry_port(t.out)].fifo.push_back(flit);
+    ++routers_[dn].flits;
     ++stats_.buffer_writes;
   }
 
@@ -298,11 +296,15 @@ void MeshNoc::step_cycle() {
     if (local_fifo.size() >= params_.buffer_flits) continue;  // NIC stalls
     if (ps.flits_sent == 0) deliveries_[h].injected = now_;
     local_fifo.push_back({h, ps.flits_sent});
+    ++routers_[node].flits;
     ++ps.flits_sent;
     ++in_flight_flits_;
     ++stats_.flits;
     ++stats_.buffer_writes;
-    if (ps.flits_sent == ps.packet.flits) nic.pop_front();
+    if (ps.flits_sent == ps.packet.flits) {
+      nic.pop_front();
+      --nic_queued_;
+    }
   }
 
   ++stats_.cycles;
@@ -310,16 +312,25 @@ void MeshNoc::step_cycle() {
 }
 
 void MeshNoc::run_to_completion() {
+  // Packets injected since the last run join their NICs first, so one
+  // released ahead of the clock waits there and its wait is counted.
   resolve_releases();
   const NocCycle start = now_;
   while (undelivered_ > 0) {
-    if (idle()) {
-      resolve_releases();
+    const bool nic_waiting = nic_queued_ != 0;
+    resolve_releases();
+    if (in_flight_flits_ == 0) {
+      // Nothing moves before the earliest NIC release, so jump there.
+      // A NIC that already held a packet waits through the skipped
+      // cycles, and they count as simulated; an empty network's do not.
       const NocCycle next = next_release();
       MEMCIM_CHECK_MSG(next != kNever,
                        "NoC deadlock: undelivered packets depend on "
                        "deliveries that can never happen");
-      now_ = std::max(now_, next);
+      if (next > now_) {
+        if (nic_waiting) stats_.cycles += next - now_;
+        now_ = next;
+      }
     }
     step_cycle();
     MEMCIM_CHECK_MSG(now_ - start < 100'000'000ull,

@@ -68,7 +68,11 @@ struct NocStats {
   std::uint64_t buffer_reads = 0;
   std::uint64_t xbar_traversals = 0;
   std::uint64_t credit_stalls = 0;   ///< grant denied: full downstream FIFO
-  std::uint64_t cycles = 0;          ///< virtual cycles simulated (busy only)
+  /// Virtual cycles simulated, including each wait for a release that
+  /// began with a packet already in a NIC (one injected with a release
+  /// ahead of the clock waits there).  A wait that began with the whole
+  /// network empty (nothing in flight, every NIC empty) is not counted.
+  std::uint64_t cycles = 0;
 };
 
 class MeshNoc {
@@ -156,15 +160,17 @@ class MeshNoc {
   struct Router {
     InputPort in[kNocPorts];
     std::size_t rr[kNocPorts] = {0, 0, 0, 0, 0};  ///< arbiter pointers
+    std::size_t flits = 0;  ///< flits resident in the input FIFOs
   };
   struct PacketState {
     NocPacket packet;
     NocCycle released = 0;
-    bool release_resolved = false;
-    bool queued = false;          ///< sitting in (or through) the NIC
     std::size_t flits_sent = 0;   ///< flits pushed into the Local FIFO
     std::size_t flits_ejected = 0;
-    bool done = false;
+    /// Intrusive list of packets whose `after` is this one, waiting
+    /// for its tail flit to eject.
+    std::size_t first_dependent = kNoPacket;
+    std::size_t next_dependent = kNoPacket;
   };
   struct Transfer {
     std::size_t node;
@@ -176,10 +182,10 @@ class MeshNoc {
   [[nodiscard]] std::size_t neighbor(std::size_t node, NocDir dir) const;
   /// Input port of `neighbor(node, dir)` that link (node, dir) feeds.
   [[nodiscard]] std::size_t entry_port(NocDir dir) const;
+  /// Stamp each ready packet's release and queue it at its source NIC.
   void resolve_releases();
   void step_cycle();
-  [[nodiscard]] bool idle() const;
-  /// Earliest release among resolved, unqueued packets (or ~0ull).
+  /// Earliest release among NIC-queued packets (or ~0ull).
   [[nodiscard]] NocCycle next_release() const;
   void apply_link_faults(std::size_t link, std::size_t handle,
                          std::size_t flit_index);
@@ -193,15 +199,17 @@ class MeshNoc {
   std::vector<Router> routers_;
   std::vector<PacketState> packets_;
   std::vector<NocDelivery> deliveries_;
-  /// First handle whose release may still be unresolved.  Handles are
-  /// resolved in (eventually) ascending prefix order once their
-  /// dependencies deliver, so resolve_releases() never needs to rescan
-  /// the prefix — keeping it O(active window) even when one MeshNoc
-  /// hosts millions of packets across many injection/run sessions.
-  std::size_t release_frontier_ = 0;
-  /// Per-node NIC: handles of queued packets, kept in (release, handle)
-  /// order; the front packet streams its flits first.
+  /// Handles whose release is now known: injected with no pending
+  /// dependency, or whose dependency's tail flit has ejected.  Drained
+  /// into the NICs at the start of the next cycle, so a dependent never
+  /// injects in the cycle its dependency ejects.
+  std::vector<std::size_t> ready_;
+  /// Per-node NIC: handles of queued packets.  The front packet streams
+  /// its flits first; otherwise the earliest (release, handle) released
+  /// packet takes the port, so queue order never matters.
   std::vector<std::deque<std::size_t>> nics_;
+  std::size_t nic_queued_ = 0;  ///< packets across all NICs
+  std::vector<Transfer> grants_;  ///< one cycle's switch allocation
   std::vector<std::uint64_t> link_busy_;  ///< per directional link
   struct WireFault {
     std::size_t wire;

@@ -4,6 +4,7 @@
 
 #include <atomic>
 #include <cstdlib>
+#include <filesystem>
 #include <numeric>
 #include <vector>
 
@@ -73,6 +74,31 @@ TEST(Parallel, SetThreadsIsObserved) {
   EXPECT_EQ(parallel_threads(), 5u);
   set_parallel_threads(1);
   EXPECT_EQ(parallel_threads(), 1u);
+}
+
+/// Threads of this process: the entries of /proc/self/task.
+std::size_t process_threads() {
+  std::size_t n = 0;
+  for (const auto& task :
+       std::filesystem::directory_iterator("/proc/self/task")) {
+    (void)task;
+    ++n;
+  }
+  return n;
+}
+
+// ctest runs each case in a fresh process, where the pool has not
+// started yet; asking its size must not start it.
+TEST(Parallel, ReportingThePoolSizeStartsNoThreads) {
+  if (!std::filesystem::exists("/proc/self/task"))
+    GTEST_SKIP() << "needs /proc/self/task";
+  const std::size_t before = process_threads();
+  const std::size_t reported = parallel_threads();
+  EXPECT_GE(reported, 1u);
+  EXPECT_EQ(process_threads(), before);
+  // The size reported is the size of the pool the first region starts.
+  parallel_for(0, 1, 1, [](std::size_t) {});
+  EXPECT_EQ(parallel_threads(), reported);
 }
 
 TEST(Parallel, DisjointWritesAreThreadCountInvariant) {

@@ -166,6 +166,48 @@ TEST(MeshNoc, DynamicEnergyIsExactlyCountsTimesQuanta) {
   EXPECT_GT(expected, 0.0);
 }
 
+// stats().cycles counts every cycle in which a NIC holds a packet, even
+// one whose release is still ahead; only cycles in which the whole
+// network is empty are skipped uncounted.
+TEST(MeshNoc, CyclesCountNicWaitsButNotAnEmptyNetwork) {
+  NocPacket pkt;
+  pkt.src = 0;
+  pkt.dst = 3;
+  pkt.flits = 2;
+
+  // Released 500 cycles into a run, and again 500 cycles after the
+  // mesh has drained: the packet waits in its NIC both times.
+  MeshNoc prompt(2, 2, small_params());
+  MeshNoc held(2, 2, small_params());
+  for (std::uint64_t session = 0; session < 2; ++session) {
+    pkt.release = prompt.now();
+    (void)prompt.inject(pkt);
+    prompt.run_to_completion();
+    pkt.release = held.now() + 500;
+    (void)held.inject(pkt);
+    held.run_to_completion();
+    EXPECT_EQ(held.stats().cycles,
+              prompt.stats().cycles + 500 * (session + 1));
+  }
+
+  // A dependent released 500 cycles after its dependency ejects, with
+  // every NIC empty meanwhile: the clock jumps and nothing is counted.
+  MeshNoc at_once(2, 2, small_params());
+  MeshNoc later(2, 2, small_params());
+  for (MeshNoc* noc : {&at_once, &later}) {
+    pkt.release = 0;
+    pkt.after = kNoPacket;
+    const std::size_t cmd = noc->inject(pkt);
+    pkt.after = cmd;
+    pkt.release = noc == &later ? 500 : 0;
+    (void)noc->inject(pkt);
+    noc->run_to_completion();
+  }
+  EXPECT_EQ(later.deliveries()[1].injected,
+            later.deliveries()[0].delivered + 500);
+  EXPECT_EQ(later.stats().cycles, at_once.stats().cycles);
+}
+
 TEST(MeshNoc, RunToCompletionIsReentrantWithMonotonicClock) {
   MeshNoc noc(2, 2, small_params());
   NocPacket pkt;
