@@ -12,15 +12,19 @@
 //     NoC dynamic energy, each counted exactly once (the CimMachine
 //     reconciliation rule applied fabric-wide).
 //
-// Workload sharding lives above (src/workloads/sharded.h); the fabric
-// has no opinion on what the packets mean.
+// FabricSession (below) is the one producer of host↔tile packets; what
+// they carry stays with its callers (src/workloads/sharded.h,
+// src/serving/dispatcher.h).
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "arch/cim_tile.h"
 #include "noc/mesh.h"
+#include "telemetry/attribution.h"
+#include "telemetry/telemetry.h"
 
 namespace memcim {
 
@@ -52,10 +56,10 @@ class TileFabric {
   [[nodiscard]] NocCycle compute_cycles(Time t) const;
 
   // -- per-tile busy books ----------------------------------------------------
-  /// Credit `cycles` of compute occupancy to a tile (workload drivers
-  /// call this once per shard executed there).  `shard` keys the
-  /// attribution book's arch row (occupancy as virtual nanoseconds);
-  /// pass telemetry::kNoShard for unsharded occupancy.
+  /// Credit `cycles` of compute occupancy to a tile (FabricSession
+  /// calls this once per round trip).  `shard` keys the attribution
+  /// book's arch row (occupancy as virtual nanoseconds);
+  /// telemetry::kNoShard marks unsharded occupancy.
   void note_busy(std::size_t tile, NocCycle cycles,
                  std::uint32_t shard = 0xFFFFFFFFu);
   [[nodiscard]] NocCycle busy_cycles(std::size_t tile) const;
@@ -79,6 +83,73 @@ class TileFabric {
   MeshNoc noc_;
   std::vector<CimTile> tiles_;
   std::vector<NocCycle> busy_;
+};
+
+/// One NoC session of host↔tile round trips, opened under the
+/// dispatching span: commands trace under that span, completions under
+/// their tile's TileCompute span, and every attribution row the session
+/// charges carries the shard column fixed at construction.
+class FabricSession {
+ public:
+  /// kTile: a sharded run, one shard per tile.  kNone:
+  /// telemetry::kNoShard, for work that is not shard-scoped (serving).
+  enum class ShardColumn : std::uint8_t { kTile, kNone };
+
+  FabricSession(TileFabric& fabric, ShardColumn column);
+  FabricSession(const FabricSession&) = delete;
+  FabricSession& operator=(const FabricSession&) = delete;
+
+  /// One tile's compute (open one per tile with work): tags the thread
+  /// with the tile and opens the span its completions trace under.
+  class TileCompute {
+   public:
+    TileCompute(FabricSession& session, std::size_t tile,
+                telemetry::SpanSite& site);
+
+   private:
+    telemetry::TileScope tile_scope_;
+    telemetry::Span span_;
+  };
+
+  struct RoundTrip {
+    std::size_t tile = 0;
+    std::uint64_t tag = 0;  ///< the command's; the completion's is tag + 1
+    std::size_t cmd_bits = 0;
+    std::size_t resp_bits = 0;
+    NocCycle compute_cycles = 0;  ///< completion release after delivery
+    std::uint64_t cmd_seed = 0;   ///< fingerprint = splitmix64(seed)
+    std::uint64_t resp_seed = 0;
+    /// Completion handle the command waits for; kNoPacket releases it
+    /// at the session start.
+    std::size_t after = kNoPacket;
+  };
+  /// Inject the command and its dependent completion, credit the tile's
+  /// busy cycles and charge the NoC row; returns the completion handle.
+  std::size_t round_trip(const RoundTrip& trip);
+
+  /// Book compute costs; nonzero `pulses` go to the device layer.
+  void charge(telemetry::AttrLayer layer, std::size_t tile, Energy energy,
+              std::uint64_t pulses = 0) const;
+
+  /// The session's NoC books, counted from its construction.
+  struct Books {
+    NocCycle makespan = 0;
+    Energy noc_energy{0.0};
+    std::uint64_t flits = 0;
+    std::uint64_t flit_hops = 0;
+  };
+  Books run();
+
+ private:
+  [[nodiscard]] std::uint32_t shard(std::size_t tile) const;
+
+  TileFabric& fabric_;
+  ShardColumn column_;
+  telemetry::TraceContext ctx_;
+  NocCycle start_;
+  Energy start_energy_;
+  NocStats start_stats_;
+  std::vector<telemetry::TraceContext> tile_ctx_;  ///< per TileCompute
 };
 
 }  // namespace memcim

@@ -3,7 +3,6 @@
 #include "arch/partitioner.h"
 #include "common/error.h"
 #include "common/parallel.h"
-#include "common/rng.h"
 #include "telemetry/attribution.h"
 #include "workloads/parallel_add.h"
 
@@ -23,6 +22,18 @@ telemetry::SpanSite& dispatch_site() {
 telemetry::SpanSite& shard_site() {
   static telemetry::SpanSite site("serving.shard_compute");
   return site;
+}
+
+/// One tile's command/completion pair of a window: tags follow the
+/// tile, and the completion's fingerprint seed is the command's, salted.
+void window_round_trip(FabricSession& session, const TileFabric& fabric,
+                       std::size_t tile, std::size_t cmd_bits,
+                       std::size_t resp_bits, Time compute,
+                       std::uint64_t seed) {
+  session.round_trip({.tile = tile, .tag = 2 * tile, .cmd_bits = cmd_bits,
+                      .resp_bits = resp_bits,
+                      .compute_cycles = fabric.compute_cycles(compute),
+                      .cmd_seed = seed, .resp_seed = seed ^ 0xFEEDull});
 }
 
 }  // namespace
@@ -57,52 +68,6 @@ BatchDispatcher::BatchDispatcher(
   }
 }
 
-std::uint64_t BatchDispatcher::inject_pair(
-    std::size_t tile, std::size_t cmd_bits, std::size_t resp_bits,
-    NocCycle release_base, NocCycle compute_cycles, std::uint64_t fingerprint,
-    const telemetry::TraceContext& cmd_ctx,
-    const telemetry::TraceContext& resp_ctx) {
-  const NocParams& noc = fabric_.config().noc;
-  NocPacket cmd;
-  cmd.src = fabric_.host();
-  cmd.dst = tile;
-  cmd.flits = flits_for_bits(cmd_bits, noc);
-  cmd.tag = 2 * tile;
-  cmd.release = release_base;
-  cmd.fingerprint = splitmix64(fingerprint);
-  cmd.trace_id = cmd_ctx.trace_id;
-  cmd.parent_span = cmd_ctx.span_id;
-  const std::size_t cmd_handle = fabric_.noc().inject(cmd);
-
-  fabric_.note_busy(tile, compute_cycles, static_cast<std::uint32_t>(tile));
-
-  NocPacket resp;
-  resp.src = tile;
-  resp.dst = fabric_.host();
-  resp.flits = flits_for_bits(resp_bits, noc);
-  resp.tag = 2 * tile + 1;
-  resp.after = cmd_handle;
-  resp.release = compute_cycles;
-  resp.fingerprint = splitmix64(fingerprint ^ 0xFEEDull);
-  resp.trace_id = resp_ctx.trace_id;
-  resp.parent_span = resp_ctx.span_id;
-  (void)fabric_.noc().inject(resp);
-
-  // Charge the transport to the NoC layer of the attribution book —
-  // same discipline as workloads/sharded.cpp, but serving batches are
-  // not shard-scoped so the shard column stays the sentinel.
-  if (telemetry::enabled()) {
-    const auto t = static_cast<std::uint32_t>(tile);
-    telemetry::attribute_flits(t, telemetry::kNoShard, cmd.flits + resp.flits);
-    const Energy e = fabric_.noc().packet_energy(cmd.src, cmd.dst, cmd.flits) +
-                     fabric_.noc().packet_energy(resp.src, resp.dst,
-                                                 resp.flits);
-    telemetry::attribute_energy(telemetry::AttrLayer::kNoc, t,
-                                telemetry::kNoShard, e.value());
-  }
-  return cmd.flits + resp.flits;
-}
-
 BatchExecution BatchDispatcher::execute(const Batch& batch) {
   MEMCIM_CHECK_MSG(!batch.requests.empty(), "cannot execute an empty batch");
   MEMCIM_CHECK(batch.requests.size() <= kPackedLanes);
@@ -128,22 +93,29 @@ BatchExecution BatchDispatcher::execute(const Batch& batch) {
     resp.trace_id = r.trace.trace_id;
   }
 
+  // One NoC session per window: compute, then every tile's round trip.
+  FabricSession session(fabric_, FabricSession::ShardColumn::kNone);
   switch (batch.cls) {
     case RequestClass::kKmerQuery:
-      execute_kmer(batch, out);
+      execute_kmer(batch, session, out);
       break;
     case RequestClass::kCamSearch:
-      execute_cam(batch, out);
+      execute_cam(batch, session, out);
       break;
     case RequestClass::kAddition:
-      execute_add(batch, out);
+      execute_add(batch, session, out);
       break;
   }
+  const FabricSession::Books books = session.run();
+  out.service_cycles = books.makespan;
+  out.flits = books.flits;
+  out.noc_energy = books.noc_energy;
   ++dispatched_batches_;
   return out;
 }
 
-void BatchDispatcher::execute_kmer(const Batch& batch, BatchExecution& out) {
+void BatchDispatcher::execute_kmer(const Batch& batch, FabricSession& session,
+                                   BatchExecution& out) {
   const std::size_t tiles = fabric_.tiles();
   const std::size_t rows = fabric_.config().tile.rows;
   const std::size_t row_bits = fabric_.config().tile.row_bits;
@@ -152,19 +124,12 @@ void BatchDispatcher::execute_kmer(const Batch& batch, BatchExecution& out) {
     MEMCIM_CHECK_MSG(r.key.size() == row_bits,
                      "k-mer query key must be row_bits wide");
 
-  const telemetry::TraceContext ctx = telemetry::current_trace_context();
-  const NocCycle noc_before = fabric_.noc().now();
-  const Energy noc_e_before = fabric_.noc().dynamic_energy();
-
   // Compute: every tile matches the whole window against its rows.
   std::vector<std::vector<std::vector<bool>>> tile_matches(tiles);
   std::vector<Time> tile_latency(tiles, Time{0.0});
   std::vector<Energy> tile_energy(tiles, Energy{0.0});
-  std::vector<telemetry::TraceContext> shard_ctx(tiles);
   parallel_for(0, tiles, 1, [&](std::size_t t) {
-    const telemetry::TileScope tile_scope(static_cast<std::uint32_t>(t));
-    telemetry::Span compute_span(shard_site());
-    shard_ctx[t] = telemetry::current_trace_context();
+    const FabricSession::TileCompute compute(session, t, shard_site());
     CimTile& tile = fabric_.tile(t);
     const Time l0 = tile.stats().latency;
     const Energy e0 = tile.stats().energy;
@@ -188,22 +153,15 @@ void BatchDispatcher::execute_kmer(const Batch& batch, BatchExecution& out) {
   const std::size_t cmd_bits = kDescriptorBits + queries * row_bits;
   const std::size_t resp_bits = kDescriptorBits + queries * rows;
   for (std::size_t t = 0; t < tiles; ++t) {
-    const NocCycle compute = fabric_.compute_cycles(tile_latency[t]);
-    out.flits += inject_pair(t, cmd_bits, resp_bits, noc_before, compute,
-                             0x5E4Bull ^ (batch.seq << 8) ^ t, ctx,
-                             shard_ctx[t]);
+    window_round_trip(session, fabric_, t, cmd_bits, resp_bits,
+                      tile_latency[t], 0x5E4Bull ^ (batch.seq << 8) ^ t);
     out.compute_energy += tile_energy[t];
-    telemetry::attribute_energy(telemetry::AttrLayer::kCrossbar,
-                                static_cast<std::uint32_t>(t),
-                                telemetry::kNoShard, tile_energy[t].value());
+    session.charge(telemetry::AttrLayer::kCrossbar, t, tile_energy[t]);
   }
-  fabric_.noc().run_to_completion();
-  const NocCycle makespan = fabric_.noc().makespan();
-  out.service_cycles = makespan > noc_before ? makespan - noc_before : 0;
-  out.noc_energy = fabric_.noc().dynamic_energy() - noc_e_before;
 }
 
-void BatchDispatcher::execute_cam(const Batch& batch, BatchExecution& out) {
+void BatchDispatcher::execute_cam(const Batch& batch, FabricSession& session,
+                                  BatchExecution& out) {
   const std::size_t tiles = fabric_.tiles();
   const std::size_t rows = config_.cam.rows;
   const std::size_t queries = batch.requests.size();
@@ -211,17 +169,10 @@ void BatchDispatcher::execute_cam(const Batch& batch, BatchExecution& out) {
     MEMCIM_CHECK_MSG(r.key.size() == config_.cam.word_bits,
                      "CAM search key must be word_bits wide");
 
-  const telemetry::TraceContext ctx = telemetry::current_trace_context();
-  const NocCycle noc_before = fabric_.noc().now();
-  const Energy noc_e_before = fabric_.noc().dynamic_energy();
-
   std::vector<std::vector<CamSearchResult>> per_tile(tiles);
   std::vector<Time> tile_latency(tiles, Time{0.0});
-  std::vector<telemetry::TraceContext> shard_ctx(tiles);
   parallel_for(0, tiles, 1, [&](std::size_t t) {
-    const telemetry::TileScope tile_scope(static_cast<std::uint32_t>(t));
-    telemetry::Span compute_span(shard_site());
-    shard_ctx[t] = telemetry::current_trace_context();
+    const FabricSession::TileCompute compute(session, t, shard_site());
     per_tile[t].reserve(queries);
     for (const Request& r : batch.requests) {
       per_tile[t].push_back(cams_[t].search(r.key));
@@ -239,24 +190,17 @@ void BatchDispatcher::execute_cam(const Batch& batch, BatchExecution& out) {
   const std::size_t cmd_bits = kDescriptorBits + queries * config_.cam.word_bits;
   const std::size_t resp_bits = kDescriptorBits + queries * rows;
   for (std::size_t t = 0; t < tiles; ++t) {
-    const NocCycle compute = fabric_.compute_cycles(tile_latency[t]);
-    out.flits += inject_pair(t, cmd_bits, resp_bits, noc_before, compute,
-                             0xCA4Bull ^ (batch.seq << 8) ^ t, ctx,
-                             shard_ctx[t]);
+    window_round_trip(session, fabric_, t, cmd_bits, resp_bits,
+                      tile_latency[t], 0xCA4Bull ^ (batch.seq << 8) ^ t);
     Energy tile_e{0.0};
     for (const CamSearchResult& r : per_tile[t]) tile_e += r.energy;
     out.compute_energy += tile_e;
-    telemetry::attribute_energy(telemetry::AttrLayer::kLogic,
-                                static_cast<std::uint32_t>(t),
-                                telemetry::kNoShard, tile_e.value());
+    session.charge(telemetry::AttrLayer::kLogic, t, tile_e);
   }
-  fabric_.noc().run_to_completion();
-  const NocCycle makespan = fabric_.noc().makespan();
-  out.service_cycles = makespan > noc_before ? makespan - noc_before : 0;
-  out.noc_energy = fabric_.noc().dynamic_energy() - noc_e_before;
 }
 
-void BatchDispatcher::execute_add(const Batch& batch, BatchExecution& out) {
+void BatchDispatcher::execute_add(const Batch& batch, FabricSession& session,
+                                  BatchExecution& out) {
   const std::size_t tiles = fabric_.tiles();
   const std::size_t ops = batch.requests.size();
   const std::uint64_t mask =
@@ -264,10 +208,6 @@ void BatchDispatcher::execute_add(const Batch& batch, BatchExecution& out) {
   for (const Request& r : batch.requests)
     MEMCIM_CHECK_MSG((r.add_a | r.add_b) <= mask,
                      "addition operands exceed add_width");
-
-  const telemetry::TraceContext ctx = telemetry::current_trace_context();
-  const NocCycle noc_before = fabric_.noc().now();
-  const Energy noc_e_before = fabric_.noc().dynamic_energy();
 
   std::vector<std::uint64_t> op_a(ops), op_b(ops);
   for (std::size_t i = 0; i < ops; ++i) {
@@ -280,13 +220,10 @@ void BatchDispatcher::execute_add(const Batch& batch, BatchExecution& out) {
   const ShardPlan plan =
       Partitioner::batch_aligned(ops, tiles, config_.adders_per_tile);
   std::vector<ParallelAddResult> per_shard(tiles);
-  std::vector<telemetry::TraceContext> shard_ctx(tiles);
   parallel_for(0, tiles, 1, [&](std::size_t t) {
     const Shard& s = plan.shards[t];
     if (s.empty()) return;
-    const telemetry::TileScope tile_scope(static_cast<std::uint32_t>(t));
-    telemetry::Span compute_span(shard_site());
-    shard_ctx[t] = telemetry::current_trace_context();
+    const FabricSession::TileCompute compute(session, t, shard_site());
     ParallelAddParams params;
     params.operations = s.size();
     params.width = config_.add_width;
@@ -301,35 +238,21 @@ void BatchDispatcher::execute_add(const Batch& batch, BatchExecution& out) {
         run_parallel_add_ops(params, fabric_.config().tile.cell, a, b);
   });
 
+  const std::size_t w = config_.add_width;
   for (const Shard& s : plan.shards) {
     if (s.empty()) continue;
     const ParallelAddResult& r = per_shard[s.tile];
     MEMCIM_CHECK(r.mismatches == 0);
     for (std::size_t i = 0; i < s.size(); ++i)
       out.responses[s.begin + i].sum = r.sums[i];
+    window_round_trip(session, fabric_, s.tile,
+                      kDescriptorBits + s.size() * 2 * w,
+                      kDescriptorBits + s.size() * w, r.latency,
+                      0xADD0ull ^ (batch.seq << 8) ^ s.tile);
     out.compute_energy += r.total_energy;
-    const auto tid = static_cast<std::uint32_t>(s.tile);
-    telemetry::attribute_energy(telemetry::AttrLayer::kLogic, tid,
-                                telemetry::kNoShard, r.total_energy.value());
-    telemetry::attribute_pulses(telemetry::AttrLayer::kDevice, tid,
-                                telemetry::kNoShard, r.total_pulses);
+    session.charge(telemetry::AttrLayer::kLogic, s.tile, r.total_energy,
+                   r.total_pulses);
   }
-
-  const std::size_t w = config_.add_width;
-  for (const Shard& s : plan.shards) {
-    if (s.empty()) continue;
-    const std::size_t cmd_bits = kDescriptorBits + s.size() * 2 * w;
-    const std::size_t resp_bits = kDescriptorBits + s.size() * w;
-    const NocCycle compute =
-        fabric_.compute_cycles(per_shard[s.tile].latency);
-    out.flits += inject_pair(s.tile, cmd_bits, resp_bits, noc_before, compute,
-                             0xADD0ull ^ (batch.seq << 8) ^ s.tile, ctx,
-                             shard_ctx[s.tile]);
-  }
-  fabric_.noc().run_to_completion();
-  const NocCycle makespan = fabric_.noc().makespan();
-  out.service_cycles = makespan > noc_before ? makespan - noc_before : 0;
-  out.noc_energy = fabric_.noc().dynamic_energy() - noc_e_before;
 }
 
 }  // namespace memcim::serving

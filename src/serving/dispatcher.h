@@ -1,6 +1,6 @@
 // Batch dispatcher: executes one coalesced request window across the
-// tile fabric, with the host↔tile traffic costed by the mesh NoC
-// co-simulation (the same discipline as workloads/sharded.cpp).
+// tile fabric as one FabricSession (arch/tile_fabric.h), which injects
+// every host↔tile packet and costs it on the mesh NoC co-simulation.
 //
 // The serving data is *resident in the tiles* — the CIM premise — so
 // the host ships request payloads out and result descriptors back:
@@ -81,17 +81,12 @@ class BatchDispatcher {
   [[nodiscard]] BatchExecution execute(const Batch& batch);
 
  private:
-  void execute_kmer(const Batch& batch, BatchExecution& out);
-  void execute_cam(const Batch& batch, BatchExecution& out);
-  void execute_add(const Batch& batch, BatchExecution& out);
-
-  /// Inject the per-tile command/completion pair and credit busy
-  /// cycles; returns the flits injected.
-  std::uint64_t inject_pair(std::size_t tile, std::size_t cmd_bits,
-                            std::size_t resp_bits, NocCycle release_base,
-                            NocCycle compute_cycles, std::uint64_t fingerprint,
-                            const telemetry::TraceContext& cmd_ctx,
-                            const telemetry::TraceContext& resp_ctx);
+  void execute_kmer(const Batch& batch, FabricSession& session,
+                    BatchExecution& out);
+  void execute_cam(const Batch& batch, FabricSession& session,
+                   BatchExecution& out);
+  void execute_add(const Batch& batch, FabricSession& session,
+                   BatchExecution& out);
 
   TileFabric& fabric_;
   ServingWorkloadConfig config_;

@@ -23,46 +23,23 @@ telemetry::TraceContext run_root_context() {
 
 /// The shard-compute span site shared by all three workloads: one span
 /// per (tile, shard) task, parented under the workload span and tagged
-/// with the tile via TileScope.
+/// with the tile by FabricSession::TileCompute.
 telemetry::SpanSite& shard_compute_site() {
   static telemetry::SpanSite site("workload.shard_compute");
   return site;
 }
 
-/// Charge one shard's command/response packet pair to the NoC
-/// attribution row of (tile, shard): exact flit counts plus the
-/// structural per-packet energy (see MeshNoc::packet_energy).
-void attribute_packet_pair(const TileFabric& fabric, std::size_t tile,
-                           const NocPacket& cmd, const NocPacket& resp) {
-  if (!telemetry::enabled()) return;
-  const auto t = static_cast<std::uint32_t>(tile);
-  telemetry::attribute_flits(t, t, cmd.flits + resp.flits);
-  const Energy e = fabric.noc().packet_energy(cmd.src, cmd.dst, cmd.flits) +
-                   fabric.noc().packet_energy(resp.src, resp.dst, resp.flits);
-  telemetry::attribute_energy(telemetry::AttrLayer::kNoc, t, t, e.value());
-}
-
-struct NocSnapshot {
-  NocStats stats;
-  Energy energy{0.0};
-  NocCycle now = 0;
-};
-
-NocSnapshot noc_snapshot(const MeshNoc& noc) {
-  return {noc.stats(), noc.dynamic_energy(), noc.now()};
-}
-
-void finish_run(TileFabric& fabric, const NocSnapshot& before,
+void finish_run(TileFabric& fabric, FabricSession& session,
                 ShardedRunStats& run) {
-  fabric.noc().run_to_completion();
-  const MeshNoc& noc = fabric.noc();
-  run.makespan = noc.makespan() > before.now ? noc.makespan() - before.now : 0;
+  const FabricSession::Books books = session.run();
+  run.makespan = books.makespan;
   run.latency =
       Time(fabric.config().noc.cycle.value() * static_cast<double>(run.makespan));
-  run.noc_energy = noc.dynamic_energy() - before.energy;
-  run.flits = noc.stats().flits - before.stats.flits;
-  run.flit_hops = noc.stats().flit_hops - before.stats.flit_hops;
+  run.noc_energy = books.noc_energy;
+  run.flits = books.flits;
+  run.flit_hops = books.flit_hops;
   run.fabric_utilization = fabric.utilization();
+  run.trace_id = telemetry::current_trace_context().trace_id;
 }
 
 /// Merge per-shard farm results in tile order, re-folding every total
@@ -120,7 +97,7 @@ ShardedAddResult sharded_parallel_add(TileFabric& fabric,
   static telemetry::SpanSite span_site("workload.sharded_add");
   const telemetry::TraceContextScope root_scope(run_root_context());
   telemetry::Span span(span_site);
-  const telemetry::TraceContext ctx = telemetry::current_trace_context();
+  FabricSession session(fabric, FabricSession::ShardColumn::kTile);
 
   // Identical draw order to run_parallel_add: the sharded run consumes
   // the same RNG stream as its single-farm counterpart.
@@ -138,13 +115,10 @@ ShardedAddResult sharded_parallel_add(TileFabric& fabric,
 
   // Compute phase: one task per shard, chunks write disjoint slots.
   std::vector<ParallelAddResult> per_shard(fabric.tiles());
-  std::vector<telemetry::TraceContext> shard_ctx(fabric.tiles());
   parallel_for(0, fabric.tiles(), 1, [&](std::size_t t) {
     const Shard& s = plan.shards[t];
     if (s.empty()) return;
-    const telemetry::TileScope tile_scope(static_cast<std::uint32_t>(t));
-    telemetry::Span compute_span(shard_compute_site());
-    shard_ctx[t] = telemetry::current_trace_context();
+    const FabricSession::TileCompute compute(session, t, shard_compute_site());
     per_shard[t] = run_add_shard(s, params, cell, op_a, op_b);
   });
 
@@ -158,50 +132,20 @@ ShardedAddResult sharded_parallel_add(TileFabric& fabric,
   // Traffic replay: command out, completion back after the shard's
   // compute time.  Results stay resident in the tiles (the CIM point),
   // so both descriptors are small.
-  const NocSnapshot before = noc_snapshot(fabric.noc());
-  const std::size_t desc_flits =
-      flits_for_bits(kDescriptorBits, fabric.config().noc);
   for (std::size_t t = 0; t < fabric.tiles(); ++t) {
     const Shard& s = plan.shards[t];
     if (s.empty()) continue;
-    NocPacket cmd;
-    cmd.src = fabric.host();
-    cmd.dst = t;
-    cmd.flits = desc_flits;
-    cmd.tag = 2 * t;
-    cmd.release = before.now;
-    cmd.fingerprint = splitmix64(0xADD0ull ^ (t << 8) ^ s.begin);
-    cmd.trace_id = ctx.trace_id;
-    cmd.parent_span = ctx.span_id;
-    const std::size_t cmd_handle = fabric.noc().inject(cmd);
-
-    const NocCycle compute = fabric.compute_cycles(per_shard[t].latency);
-    fabric.note_busy(t, compute, static_cast<std::uint32_t>(t));
-
-    NocPacket resp;
-    resp.src = t;
-    resp.dst = fabric.host();
-    resp.flits = desc_flits;
-    resp.tag = 2 * t + 1;
-    resp.after = cmd_handle;
-    resp.release = compute;
-    resp.fingerprint = splitmix64(0xD0BEull ^ (t << 8) ^ s.end);
-    resp.trace_id = shard_ctx[t].trace_id;
-    resp.parent_span = shard_ctx[t].span_id;
-    (void)fabric.noc().inject(resp);
-
-    attribute_packet_pair(fabric, t, cmd, resp);
-    if (telemetry::enabled()) {
-      const auto tid = static_cast<std::uint32_t>(t);
-      telemetry::attribute_energy(telemetry::AttrLayer::kLogic, tid, tid,
-                                  per_shard[t].total_energy.value());
-      telemetry::attribute_pulses(telemetry::AttrLayer::kDevice, tid, tid,
-                                  per_shard[t].total_pulses);
-    }
+    const ParallelAddResult& r = per_shard[t];
+    session.round_trip({.tile = t, .tag = 2 * t, .cmd_bits = kDescriptorBits,
+                        .resp_bits = kDescriptorBits,
+                        .compute_cycles = fabric.compute_cycles(r.latency),
+                        .cmd_seed = 0xADD0ull ^ (t << 8) ^ s.begin,
+                        .resp_seed = 0xD0BEull ^ (t << 8) ^ s.end});
+    session.charge(telemetry::AttrLayer::kLogic, t, r.total_energy,
+                   r.total_pulses);
   }
-  finish_run(fabric, before, out.run);
+  finish_run(fabric, session, out.run);
   out.run.compute_energy = out.merged.total_energy;
-  out.run.trace_id = ctx.trace_id;
   return out;
 }
 
@@ -250,7 +194,7 @@ ShardedSearchResult sharded_kmer_search(
   static telemetry::SpanSite span_site("workload.sharded_search");
   const telemetry::TraceContextScope root_scope(run_root_context());
   telemetry::Span span(span_site);
-  const telemetry::TraceContext ctx = telemetry::current_trace_context();
+  FabricSession session(fabric, FabricSession::ShardColumn::kTile);
 
   // Distribute the database row-major (setup, not part of the run).
   for (std::size_t r = 0; r < database.size(); ++r) {
@@ -262,11 +206,8 @@ ShardedSearchResult sharded_kmer_search(
   std::vector<std::vector<std::vector<bool>>> tile_matches(tiles);
   std::vector<std::vector<Time>> tile_latency(tiles);
   std::vector<Energy> tile_delta(tiles, Energy{0.0});
-  std::vector<telemetry::TraceContext> shard_ctx(tiles);
   parallel_for(0, tiles, 1, [&](std::size_t t) {
-    const telemetry::TileScope tile_scope(static_cast<std::uint32_t>(t));
-    telemetry::Span compute_span(shard_compute_site());
-    shard_ctx[t] = telemetry::current_trace_context();
+    const FabricSession::TileCompute compute(session, t, shard_compute_site());
     CimTile& tile = fabric.tile(t);
     const Energy e0 = tile.stats().energy;
     tile_matches[t].reserve(queries.size());
@@ -288,52 +229,20 @@ ShardedSearchResult sharded_kmer_search(
 
   // Traffic: host-coordinated waves per tile — the query-(q+1) command
   // releases only once the query-q completion reached the host.
-  const NocSnapshot before = noc_snapshot(fabric.noc());
-  const NocParams& noc_params = fabric.config().noc;
-  const std::size_t key_flits = flits_for_bits(64 + row_bits, noc_params);
-  const std::size_t resp_flits = flits_for_bits(64 + rows, noc_params);
   for (std::size_t t = 0; t < tiles; ++t) {
     std::size_t prev = kNoPacket;
-    for (std::size_t q = 0; q < queries.size(); ++q) {
-      NocPacket cmd;
-      cmd.src = fabric.host();
-      cmd.dst = t;
-      cmd.flits = key_flits;
-      cmd.tag = 2 * (t * queries.size() + q);
-      cmd.after = prev;
-      cmd.release = prev == kNoPacket ? before.now : 0;
-      cmd.fingerprint = splitmix64(0x5EA4ull ^ (t << 16) ^ q);
-      cmd.trace_id = ctx.trace_id;
-      cmd.parent_span = ctx.span_id;
-      const std::size_t cmd_handle = fabric.noc().inject(cmd);
-
-      const NocCycle compute = fabric.compute_cycles(tile_latency[t][q]);
-      fabric.note_busy(t, compute, static_cast<std::uint32_t>(t));
-
-      NocPacket resp;
-      resp.src = t;
-      resp.dst = fabric.host();
-      resp.flits = resp_flits;
-      resp.tag = cmd.tag + 1;
-      resp.after = cmd_handle;
-      resp.release = compute;
-      resp.fingerprint = splitmix64(0x4E5Full ^ (t << 16) ^ q);
-      resp.trace_id = shard_ctx[t].trace_id;
-      resp.parent_span = shard_ctx[t].span_id;
-      prev = fabric.noc().inject(resp);
-
-      attribute_packet_pair(fabric, t, cmd, resp);
-    }
-    if (telemetry::enabled()) {
-      const auto tid = static_cast<std::uint32_t>(t);
-      telemetry::attribute_energy(telemetry::AttrLayer::kCrossbar, tid, tid,
-                                  tile_delta[t].value());
-    }
+    for (std::size_t q = 0; q < queries.size(); ++q)
+      prev = session.round_trip(
+          {.tile = t, .tag = 2 * (t * queries.size() + q),
+           .cmd_bits = 64 + row_bits, .resp_bits = 64 + rows,
+           .compute_cycles = fabric.compute_cycles(tile_latency[t][q]),
+           .cmd_seed = 0x5EA4ull ^ (t << 16) ^ q,
+           .resp_seed = 0x4E5Full ^ (t << 16) ^ q, .after = prev});
+    session.charge(telemetry::AttrLayer::kCrossbar, t, tile_delta[t]);
   }
-  finish_run(fabric, before, out.run);
+  finish_run(fabric, session, out.run);
   for (std::size_t t = 0; t < tiles; ++t)
     out.run.compute_energy += tile_delta[t];
-  out.run.trace_id = ctx.trace_id;
   return out;
 }
 
@@ -377,14 +286,11 @@ ShardedCamBank::BankSearchResult ShardedCamBank::search(
   static telemetry::SpanSite span_site("workload.sharded_cam");
   const telemetry::TraceContextScope root_scope(run_root_context());
   telemetry::Span span(span_site);
-  const telemetry::TraceContext ctx = telemetry::current_trace_context();
+  FabricSession session(fabric_, FabricSession::ShardColumn::kTile);
 
   std::vector<CamSearchResult> per_tile(cams_.size());
-  std::vector<telemetry::TraceContext> shard_ctx(cams_.size());
   parallel_for(0, cams_.size(), 1, [&](std::size_t t) {
-    const telemetry::TileScope tile_scope(static_cast<std::uint32_t>(t));
-    telemetry::Span compute_span(shard_compute_site());
-    shard_ctx[t] = telemetry::current_trace_context();
+    const FabricSession::TileCompute compute(session, t, shard_compute_site());
     per_tile[t] = cams_[t].search(key);
   });
 
@@ -393,51 +299,18 @@ ShardedCamBank::BankSearchResult ShardedCamBank::search(
     for (const std::size_t r : per_tile[t].matching_rows)
       out.matching_rows.push_back(t * per_tile_.rows + r);
 
-  const NocSnapshot before = noc_snapshot(fabric_.noc());
-  const NocParams& noc_params = fabric_.config().noc;
-  const std::size_t key_flits =
-      flits_for_bits(64 + per_tile_.word_bits, noc_params);
-  const std::size_t resp_flits =
-      flits_for_bits(64 + per_tile_.rows, noc_params);
   for (std::size_t t = 0; t < cams_.size(); ++t) {
-    NocPacket cmd;
-    cmd.src = fabric_.host();
-    cmd.dst = t;
-    cmd.flits = key_flits;
-    cmd.tag = 2 * t;
-    cmd.release = before.now;
-    cmd.fingerprint = splitmix64(0xCA4Bull ^ (t << 8));
-    cmd.trace_id = ctx.trace_id;
-    cmd.parent_span = ctx.span_id;
-    const std::size_t cmd_handle = fabric_.noc().inject(cmd);
-
-    const NocCycle compute = fabric_.compute_cycles(per_tile[t].latency);
-    fabric_.note_busy(t, compute, static_cast<std::uint32_t>(t));
-
-    NocPacket resp;
-    resp.src = t;
-    resp.dst = fabric_.host();
-    resp.flits = resp_flits;
-    resp.tag = 2 * t + 1;
-    resp.after = cmd_handle;
-    resp.release = compute;
-    resp.fingerprint =
-        splitmix64(0xB4CAull ^ (t << 8) ^ per_tile[t].matching_rows.size());
-    resp.trace_id = shard_ctx[t].trace_id;
-    resp.parent_span = shard_ctx[t].span_id;
-    (void)fabric_.noc().inject(resp);
-
-    attribute_packet_pair(fabric_, t, cmd, resp);
-    if (telemetry::enabled()) {
-      const auto tid = static_cast<std::uint32_t>(t);
-      telemetry::attribute_energy(telemetry::AttrLayer::kLogic, tid, tid,
-                                  per_tile[t].energy.value());
-    }
+    session.round_trip(
+        {.tile = t, .tag = 2 * t, .cmd_bits = 64 + per_tile_.word_bits,
+         .resp_bits = 64 + per_tile_.rows,
+         .compute_cycles = fabric_.compute_cycles(per_tile[t].latency),
+         .cmd_seed = 0xCA4Bull ^ (t << 8),
+         .resp_seed = 0xB4CAull ^ (t << 8) ^ per_tile[t].matching_rows.size()});
+    session.charge(telemetry::AttrLayer::kLogic, t, per_tile[t].energy);
   }
-  finish_run(fabric_, before, out.run);
+  finish_run(fabric_, session, out.run);
   for (std::size_t t = 0; t < cams_.size(); ++t)
     out.run.compute_energy += per_tile[t].energy;
-  out.run.trace_id = ctx.trace_id;
   return out;
 }
 

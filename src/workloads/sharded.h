@@ -8,9 +8,9 @@
 //     computation-in-memory premise — so the host only ships small
 //     command descriptors out and completion descriptors back;
 //   * tile compute runs on the process thread pool (one task per
-//     shard), then the host↔tile traffic replays in one NoC co-sim
-//     session: each result packet depends on its command packet with a
-//     release offset equal to the tile's compute time in NoC cycles,
+//     shard), then the host↔tile traffic replays in one FabricSession
+//     (arch/tile_fabric.h): each completion depends on its command with
+//     a release offset equal to the tile's compute time in NoC cycles,
 //     so compute and communication overlap exactly as they would in
 //     hardware;
 //   * every merge walks shards in tile order and every total is

@@ -1,8 +1,9 @@
 // Attribution-book reconciliation: the per-(layer, tile, shard) books
-// recorded by the sharded workloads must reproduce the global cost
-// books — pulse and flit columns bitwise, energy columns to within one
-// attojoule-quantisation per recorded event — and the whole book must
-// be bitwise identical at any MEMCIM_THREADS setting.
+// recorded by the sharded workloads and the serving dispatcher must
+// reproduce the global cost books — pulse and flit columns bitwise,
+// energy columns to within one attojoule-quantisation per recorded
+// event — and the whole book must be bitwise identical at any
+// MEMCIM_THREADS setting.
 #include "telemetry/attribution.h"
 
 #include <gtest/gtest.h>
@@ -15,6 +16,7 @@
 #include "common/parallel.h"
 #include "common/rng.h"
 #include "device/presets.h"
+#include "serving/dispatcher.h"
 #include "workloads/dna.h"
 #include "workloads/sharded.h"
 
@@ -178,6 +180,88 @@ TEST(Attribution, CamBankReconciles) {
   expect_aj_near(book.layer_totals(AttrLayer::kLogic).energy_aj,
                  to_attojoules(out.run.compute_energy.value()),
                  fabric.tiles());
+}
+
+TEST(Attribution, ServingWindowReconciles) {
+  serving::ServingWorkloadConfig workload;
+  workload.add_width = 16;
+  workload.adders_per_tile = 4;
+  workload.cam.rows = 4;
+  workload.cam.word_bits = 16;
+  workload.cam.cell = presets::crs_cell();
+  std::vector<std::vector<bool>> words;
+  for (std::size_t r = 0; r < 16; ++r) {
+    std::vector<bool> word(16);
+    for (std::size_t i = 0; i < word.size(); ++i)
+      word[i] = (((r * 2654435761u) >> i) & 1u) != 0;
+    words.push_back(word);
+  }
+  const std::size_t lanes = 6;  // the add window spans two tiles' farms
+
+  for (const serving::RequestClass cls :
+       {serving::RequestClass::kKmerQuery, serving::RequestClass::kCamSearch,
+        serving::RequestClass::kAddition}) {
+    SCOPED_TRACE(serving::to_string(cls));
+    BookGuard guard;
+    TileFabric fabric(fabric_cfg());
+    serving::BatchDispatcher dispatcher(fabric, workload, words, words);
+    serving::Batch batch;
+    batch.cls = cls;
+    std::vector<std::uint64_t> op_a, op_b;
+    for (std::size_t i = 0; i < lanes; ++i) {
+      serving::Request r;
+      r.cls = cls;
+      r.id = i;
+      r.add_a = (i * 7919u) & 0xFFFFu;
+      r.add_b = (i * 104729u) & 0xFFFFu;
+      r.key = words[(5 * i) % words.size()];
+      op_a.push_back(r.add_a);
+      op_b.push_back(r.add_b);
+      batch.requests.push_back(r);
+    }
+    const serving::BatchExecution exec = dispatcher.execute(batch);
+
+    const AttributionBook& book = AttributionBook::global();
+    const std::uint64_t tiles = fabric.tiles();
+    EXPECT_EQ(book.layer_totals(AttrLayer::kNoc).flits, exec.flits);
+    expect_aj_near(book.layer_totals(AttrLayer::kNoc).energy_aj,
+                   to_attojoules(exec.noc_energy.value()), tiles + 1);
+    const AttrLayer compute = cls == serving::RequestClass::kKmerQuery
+                                  ? AttrLayer::kCrossbar
+                                  : AttrLayer::kLogic;
+    expect_aj_near(book.layer_totals(compute).energy_aj,
+                   to_attojoules(exec.compute_energy.value()), tiles);
+    EXPECT_GT(book.layer_totals(AttrLayer::kArch).span_ns, 0u);
+
+    // The add window's device pulses: those of its shards run alone.
+    std::uint64_t pulses = 0;
+    if (cls == serving::RequestClass::kAddition) {
+      const ShardPlan plan =
+          Partitioner::batch_aligned(lanes, tiles, workload.adders_per_tile);
+      for (const Shard& s : plan.shards) {
+        if (s.empty()) continue;
+        ParallelAddParams params;
+        params.operations = s.size();
+        params.width = workload.add_width;
+        params.adders = workload.adders_per_tile;
+        const auto begin = static_cast<std::ptrdiff_t>(s.begin);
+        const auto end = static_cast<std::ptrdiff_t>(s.end);
+        pulses += run_parallel_add_ops(
+                      params, presets::crs_cell(),
+                      {op_a.begin() + begin, op_a.begin() + end},
+                      {op_b.begin() + begin, op_b.begin() + end})
+                      .total_pulses;
+      }
+      EXPECT_GT(pulses, 0u);
+    }
+    EXPECT_EQ(book.layer_totals(AttrLayer::kDevice).pulses, pulses);
+
+    // A serving window is not shard-scoped: no row carries a shard.
+    for (const AttrRecord& r : book.snapshot())
+      EXPECT_EQ(r.key.shard, telemetry::kNoShard)
+          << telemetry::attr_layer_name(r.key.layer) << " tile "
+          << r.key.tile;
+  }
 }
 
 TEST(Attribution, BookIsBitwiseIdenticalAcrossThreadCounts) {

@@ -1,11 +1,16 @@
 // Causal trace propagation: spans form parent/child trees under one
 // trace id, contexts follow work across the thread pool and onto NoC
-// packets, and the Chrome-trace export carries tile process metadata
-// plus flow arrows for cross-thread/cross-tile dispatch edges.
+// packets (for every FabricSession shape: the three sharded workloads
+// and a serving window of each class), and the Chrome-trace export
+// carries tile process metadata plus flow arrows for
+// cross-thread/cross-tile dispatch edges.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <map>
+#include <ostream>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -13,6 +18,7 @@
 #include "common/parallel.h"
 #include "common/rng.h"
 #include "device/presets.h"
+#include "serving/dispatcher.h"
 #include "telemetry/telemetry.h"
 #include "telemetry/trace_export.h"
 #include "workloads/sharded.h"
@@ -135,63 +141,176 @@ TileFabricConfig small_fabric() {
   return cfg;
 }
 
-TEST(TraceContext, ShardedRunEmitsNocPacketSpansInTheTree) {
-  StateGuard guard;
-  telemetry::set_enabled(true);
-  TileFabric fabric(small_fabric());
+std::vector<bool> bits_of(std::uint64_t v, std::size_t n) {
+  std::vector<bool> bits(n);
+  for (std::size_t i = 0; i < n; ++i) bits[i] = (v >> i) & 1u;
+  return bits;
+}
+
+/// 16 distinct 16-bit words: the k-mer database, CAM rows and keys.
+std::vector<std::vector<bool>> words16() {
+  std::vector<std::vector<bool>> words;
+  for (std::uint64_t r = 0; r < 16; ++r)
+    words.push_back(bits_of(r * 2654435761u, 16));
+  return words;
+}
+
+/// Each runner drives one fabric session and returns its trace id.
+std::uint64_t run_sharded_add(TileFabric& fabric) {
   ParallelAddParams params;
   params.operations = 64;
   params.width = 16;
   params.adders = 16;
   Rng rng(11);
+  return sharded_parallel_add(fabric, params, presets::crs_cell(), rng)
+      .run.trace_id;
+}
 
-  telemetry::Registry::global().counter("trace.noc_packets").reset();
+std::uint64_t run_kmer_search(TileFabric& fabric) {
+  const std::vector<std::vector<bool>> db = words16();
+  return sharded_kmer_search(fabric, db, {db[3], db[9]}).run.trace_id;
+}
+
+std::uint64_t run_cam_bank(TileFabric& fabric) {
+  CamConfig per_tile;
+  per_tile.rows = 4;
+  per_tile.word_bits = 16;
+  per_tile.cell = presets::crs_cell();
+  ShardedCamBank bank(fabric, per_tile);
+  const std::vector<std::vector<bool>> words = words16();
+  for (std::size_t r = 0; r < bank.rows(); ++r) bank.write_row(r, words[r]);
+  return bank.search(words[6]).run.trace_id;
+}
+
+std::uint64_t run_serving_window(TileFabric& fabric, serving::RequestClass cls,
+                                 std::size_t lanes) {
+  serving::ServingWorkloadConfig workload;
+  workload.add_width = 16;
+  workload.adders_per_tile = 4;
+  workload.cam.rows = 4;
+  workload.cam.word_bits = 16;
+  workload.cam.cell = presets::crs_cell();
+  const std::vector<std::vector<bool>> words = words16();
+  serving::BatchDispatcher dispatcher(fabric, workload, words, words);
+  const telemetry::TraceContext root = telemetry::new_root_context();
+  serving::Batch batch;
+  batch.cls = cls;
+  for (std::size_t i = 0; i < lanes; ++i) {
+    serving::Request r;
+    r.cls = cls;
+    r.id = i;
+    r.add_a = i;
+    r.add_b = 3 * i;
+    r.key = words[5 * i];
+    r.trace = root;
+    batch.requests.push_back(r);
+  }
+  (void)dispatcher.execute(batch);
+  return root.trace_id;
+}
+
+std::uint64_t run_serving_kmer(TileFabric& fabric) {
+  return run_serving_window(fabric, serving::RequestClass::kKmerQuery, 2);
+}
+
+std::uint64_t run_serving_cam(TileFabric& fabric) {
+  return run_serving_window(fabric, serving::RequestClass::kCamSearch, 2);
+}
+
+/// Fewer ops than one tile's adders_per_tile: a single shard.
+std::uint64_t run_serving_add(TileFabric& fabric) {
+  return run_serving_window(fabric, serving::RequestClass::kAddition, 3);
+}
+
+/// One traced FabricSession shape and the span tree it must leave.
+struct SessionCase {
+  const char* name;
+  const char* dispatch_site;  ///< the span commands parent under
+  const char* compute_site;   ///< the per-tile span of completions
+  std::size_t compute_spans;  ///< tiles with work
+  std::size_t round_trips;
+  std::uint64_t (*run)(TileFabric& fabric);
+};
+
+// Name cases by label; gtest's default byte dump would print pointers.
+void PrintTo(const SessionCase& c, std::ostream* os) { *os << c.name; }
+
+class SessionTraceTree : public ::testing::TestWithParam<SessionCase> {};
+
+TEST_P(SessionTraceTree, PacketSpansParentUnderTheirSessionSpans) {
+  const SessionCase& c = GetParam();
+  StateGuard guard;
+  telemetry::set_enabled(true);
+  TileFabric fabric(small_fabric());
+  telemetry::Registry& reg = telemetry::Registry::global();
+  reg.counter("trace.noc_packets").reset();
+  telemetry::Counter& compute_calls =
+      reg.counter(std::string(c.compute_site) + ".calls");
+  const std::uint64_t calls_before = compute_calls.value();
+
   telemetry::start_tracing();
-  const ShardedAddResult out =
-      sharded_parallel_add(fabric, params, presets::crs_cell(), rng);
+  const std::uint64_t trace_id = c.run(fabric);
   telemetry::stop_tracing();
-  ASSERT_NE(out.run.trace_id, 0u);
+  ASSERT_NE(trace_id, 0u);
 
   const std::vector<telemetry::TraceEvent> events =
       telemetry::collected_trace();
-  const auto workload = events_named(events, "workload.sharded_add");
-  ASSERT_EQ(workload.size(), 1u);
-  EXPECT_EQ(workload[0].trace_id, out.run.trace_id);
+  const auto dispatch = events_named(events, c.dispatch_site);
+  ASSERT_EQ(dispatch.size(), 1u);
+  EXPECT_EQ(dispatch[0].trace_id, trace_id);
 
-  // Shard compute spans: one per tile, tile-tagged, under the workload.
-  const auto compute = events_named(events, "workload.shard_compute");
-  ASSERT_EQ(compute.size(), fabric.tiles());
-  std::vector<std::uint64_t> compute_ids;
+  // Exactly one compute span per tile with work, under the dispatcher.
+  const auto compute = events_named(events, c.compute_site);
+  ASSERT_EQ(compute.size(), c.compute_spans);
+  EXPECT_EQ(compute_calls.value() - calls_before, c.compute_spans);
+  std::map<std::uint64_t, std::uint32_t> compute_tile;  // span id → tile
+  std::set<std::uint32_t> tiles;
   for (const telemetry::TraceEvent& e : compute) {
-    EXPECT_EQ(e.trace_id, out.run.trace_id);
-    EXPECT_EQ(e.parent_span, workload[0].span_id);
-    EXPECT_LT(e.tile, fabric.tiles());
-    compute_ids.push_back(e.span_id);
+    EXPECT_EQ(e.trace_id, trace_id);
+    EXPECT_EQ(e.parent_span, dispatch[0].span_id);
+    compute_tile[e.span_id] = e.tile;
+    tiles.insert(e.tile);
   }
+  EXPECT_EQ(tiles.size(), c.compute_spans);
 
-  // NoC packet spans: one per delivered packet (cmd + resp per tile),
-  // parented under the injecting span, on the destination tile.
+  // One noc.packet span per packet: commands (even tags) under the
+  // dispatching span, each completion under its own tile's compute span.
   const auto packets = events_named(events, "noc.packet");
-  ASSERT_EQ(packets.size(), 2 * fabric.tiles());
-  std::size_t cmd_like = 0, resp_like = 0;
-  for (const telemetry::TraceEvent& e : packets) {
-    EXPECT_EQ(e.trace_id, out.run.trace_id);
-    if (e.parent_span == workload[0].span_id) {
-      ++cmd_like;  // host -> tile command
-      EXPECT_LT(e.tile, fabric.tiles());
+  const std::vector<NocDelivery>& deliveries = fabric.noc().deliveries();
+  ASSERT_EQ(deliveries.size(), 2 * c.round_trips);
+  ASSERT_EQ(packets.size(), 2 * c.round_trips);
+  EXPECT_EQ(reg.counter("trace.noc_packets").value(), 2 * c.round_trips);
+  for (const NocDelivery& d : deliveries) {
+    const auto span = std::find_if(
+        packets.begin(), packets.end(),
+        [&](const telemetry::TraceEvent& e) { return e.span_id == d.span_id; });
+    ASSERT_NE(span, packets.end());
+    EXPECT_EQ(span->trace_id, trace_id);
+    if (d.tag % 2 == 0) {
+      EXPECT_EQ(span->parent_span, dispatch[0].span_id);
     } else {
-      // tile -> host response, parented under that tile's compute span.
-      EXPECT_NE(std::find(compute_ids.begin(), compute_ids.end(),
-                          e.parent_span),
-                compute_ids.end());
-      ++resp_like;
+      ASSERT_TRUE(compute_tile.contains(span->parent_span));
+      EXPECT_EQ(compute_tile[span->parent_span], d.src);
     }
   }
-  EXPECT_EQ(cmd_like, fabric.tiles());
-  EXPECT_EQ(resp_like, fabric.tiles());
-  EXPECT_EQ(telemetry::Registry::global().counter("trace.noc_packets").value(),
-            0u + 2 * fabric.tiles());
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    FabricSessions, SessionTraceTree,
+    ::testing::Values(
+        SessionCase{"sharded_add", "workload.sharded_add",
+                    "workload.shard_compute", 4, 4, run_sharded_add},
+        SessionCase{"sharded_kmer_search", "workload.sharded_search",
+                    "workload.shard_compute", 4, 8, run_kmer_search},
+        SessionCase{"sharded_cam_bank", "workload.sharded_cam",
+                    "workload.shard_compute", 4, 4, run_cam_bank},
+        SessionCase{"serving_kmer", "serving.dispatch",
+                    "serving.shard_compute", 4, 4, run_serving_kmer},
+        SessionCase{"serving_cam", "serving.dispatch",
+                    "serving.shard_compute", 4, 4, run_serving_cam},
+        SessionCase{"serving_add", "serving.dispatch",
+                    "serving.shard_compute", 1, 1, run_serving_add}),
+    [](const auto& param_info) { return std::string(param_info.param.name); });
 
 TEST(ChromeTraceExport, EmitsTileProcessMetadataAndFlowArrows) {
   StateGuard guard;
