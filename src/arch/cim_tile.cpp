@@ -1,7 +1,9 @@
 #include "arch/cim_tile.h"
 
 #include <algorithm>
+#include <array>
 #include <memory>
+#include <span>
 
 #include "common/error.h"
 #include "isa/kernels.h"
@@ -29,6 +31,19 @@ struct TileMetrics {
 TileMetrics& tile_metrics() {
   static TileMetrics m;
   return m;
+}
+
+/// Transpose a 64 x 64 bit block in place — bit c of word w moves to bit
+/// w of word c — by swapping ever smaller off-diagonal sub-blocks.
+void transpose_bits64(std::array<std::uint64_t, kPackedLanes>& m) {
+  std::uint64_t mask = 0x00000000FFFFFFFFull;
+  for (std::size_t j = 32; j != 0; j >>= 1, mask ^= mask << j) {
+    for (std::size_t k = 0; k < kPackedLanes; k = (k + j + 1) & ~j) {
+      const std::uint64_t t = ((m[k] >> j) ^ m[k + j]) & mask;
+      m[k] ^= t << j;
+      m[k + j] ^= t;
+    }
+  }
 }
 
 }  // namespace
@@ -67,16 +82,35 @@ std::vector<bool> CimTile::parallel_compare(const std::vector<bool>& key) {
   const std::shared_ptr<const isa::CompiledProgram> program =
       isa::cached_word_equality(config_.row_bits, copts);
 
-  std::vector<std::vector<bool>> windows(config_.rows);
-  for (std::size_t r = 0; r < config_.rows; ++r) {
-    const std::vector<bool> row = memory_.read_word(r);
-    std::vector<bool>& in = windows[r];
-    in.reserve(2 * config_.row_bits);
-    in.insert(in.end(), key.begin(), key.end());
-    in.insert(in.end(), row.begin(), row.end());
+  // The program's inputs are the key bits then the row bits.  Per
+  // 64-row block, the key is broadcast to every lane, and each 64-column
+  // slab of the block's stored row words (read_row keeps column c in bit
+  // c % 64 of word c / 64) is transposed into one lane word per column.
+  const std::size_t bits = config_.row_bits;
+  const std::size_t inputs = 2 * bits;
+  std::vector<std::uint64_t> lane_words(
+      packed_lane_blocks(config_.rows) * inputs, 0);
+  std::vector<std::array<std::uint64_t, kPackedLanes>> slabs((bits + 63) / 64);
+  for (std::size_t base = 0; base < config_.rows; base += kPackedLanes) {
+    std::uint64_t* in = lane_words.data() + base / kPackedLanes * inputs;
+    for (std::size_t i = 0; i < bits; ++i)
+      in[i] = key[i] ? ~std::uint64_t{0} : 0;
+    for (std::array<std::uint64_t, kPackedLanes>& slab : slabs) slab.fill(0);
+    const std::size_t lanes = std::min(kPackedLanes, config_.rows - base);
+    for (std::size_t w = 0; w < lanes; ++w) {
+      const std::span<const std::uint64_t> row = memory_.read_row(base + w);
+      for (std::size_t k = 0; k < row.size(); ++k) slabs[k][w] = row[k];
+    }
+    for (std::size_t k = 0; k < slabs.size(); ++k) {
+      transpose_bits64(slabs[k]);
+      const std::size_t col = 64 * k;
+      std::copy_n(slabs[k].begin(), std::min<std::size_t>(64, bits - col),
+                  in + bits + col);
+    }
   }
-  const PackedRunResult result = run_program_packed(
-      program->packed_source, windows, program->run_source);
+  const PackedRunResult result =
+      run_program_packed(program->packed_source, config_.rows, lane_words,
+                         program->run_source);
 
   const std::uint64_t writes_per_row =
       result.writes / static_cast<std::uint64_t>(config_.rows);

@@ -9,9 +9,11 @@
 //     simultaneously (the DNA primitive).  Latency is one comparator
 //     pass (all rows run concurrently on their own row logic); energy
 //     sums over rows.  Each row is one packed window of the cached
-//     word-equality program, whose books equal the per-row IdealFabric
-//     walk bit for bit (tests/arch/compare_engine_test.cpp keeps that
-//     walk as the oracle).
+//     word-equality program: the storage bank hands its rows over as
+//     u64 words, which are transposed straight into the replay's input
+//     lane words.  The books equal the per-row IdealFabric walk bit for
+//     bit (tests/arch/compare_engine_test.cpp keeps that walk as the
+//     oracle).
 //   * parallel_add — add word lanes of two rows into a destination row
 //     using CRS TC-adders, one per lane, all lanes concurrent (the
 //     math primitive).
@@ -43,9 +45,9 @@ struct CimTileStats {
 };
 
 /// Cache-line aligned: a TileFabric keeps its tiles contiguous and
-/// drives them from different pool workers, and every bit read bumps
-/// the storage bank's counters, so one tile's state must never share a
-/// line with its neighbour's.
+/// drives them from different pool workers, and every row read or
+/// write updates the storage bank's inline totals and the tile's stats,
+/// so one tile's state must never share a line with its neighbour's.
 class alignas(64) CimTile {
  public:
   explicit CimTile(const CimTileConfig& config);

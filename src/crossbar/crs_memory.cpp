@@ -1,66 +1,166 @@
 #include "crossbar/crs_memory.h"
 
+#include <algorithm>
+#include <bit>
+
 #include "common/error.h"
+#include "common/quantum_sum.h"
 
 namespace memcim {
 
+namespace {
+
+constexpr std::size_t kWordBits = 64;
+
+std::uint64_t popcount(std::uint64_t x) {
+  return static_cast<std::uint64_t>(std::popcount(x));
+}
+
+/// Add `step` to the per-cell book of every cell `mask` selects.
+void add_per_cell(std::uint64_t* cells, std::uint64_t mask,
+                  std::uint64_t step) {
+  for (; mask != 0; mask &= mask - 1) cells[std::countr_zero(mask)] += step;
+}
+
+}  // namespace
+
 CrsMemory::CrsMemory(std::size_t rows, std::size_t cols,
                      const CrsCellParams& cell_params)
-    : rows_(rows), cols_(cols) {
+    : rows_(rows),
+      cols_(cols),
+      words_per_row_(cols / kWordBits + (cols % kWordBits != 0 ? 1 : 0)),
+      params_(cell_params) {
   MEMCIM_CHECK_MSG(rows > 0 && cols > 0, "memory dimensions must be positive");
-  cells_.assign(rows * cols, CrsCell(cell_params));
+  MEMCIM_CHECK_MSG(cols <= transitions_.max_size() / rows,
+                   "a " << rows << " x " << cols
+                        << " memory has more cells than one bank can hold");
+  check_crs_cell_params(params_);
+  value_.assign(rows * words_per_row_, 0);
+  stuck_.assign(rows * words_per_row_, 0);
+  transitions_.assign(rows * cols, 0);
 }
 
-CrsCell& CrsMemory::at(std::size_t r, std::size_t c) {
-  MEMCIM_CHECK(r < rows_ && c < cols_);
-  return cells_[r * cols_ + c];
+std::uint64_t CrsMemory::column_mask(std::size_t k) const {
+  const std::size_t held = cols_ - k * kWordBits;
+  return held >= kWordBits ? ~std::uint64_t{0}
+                           : (std::uint64_t{1} << held) - 1;
 }
 
-const CrsCell& CrsMemory::cell(std::size_t r, std::size_t c) const {
-  MEMCIM_CHECK(r < rows_ && c < cols_);
-  return cells_[r * cols_ + c];
+void CrsMemory::read_cells(std::size_t r, std::size_t k, std::uint64_t mask,
+                           CellEvents& events) {
+  const std::size_t w = r * words_per_row_ + k;
+  const std::uint64_t zeros = mask & ~value_[w];
+  // A free '0' switches to ON (the spike) and is written back; a stuck
+  // '0' absorbs the read pulse; a '1' stays quiet.
+  const std::uint64_t destroyed = zeros & ~stuck_[w];
+  add_per_cell(&transitions_[r * cols_ + k * kWordBits], destroyed, 2);
+  const std::uint64_t n = popcount(mask);
+  const std::uint64_t d = popcount(destroyed);
+  reads_ += n;
+  destructive_reads_ += d;
+  pulses_ += n + d;
+  events.pulses += n + d;
+  events.transitions += 2 * d;
+  events.absorbed += popcount(zeros & stuck_[w]);
 }
 
-CrsCell& CrsMemory::cell_mut(std::size_t r, std::size_t c) { return at(r, c); }
+void CrsMemory::write_cells(std::size_t r, std::size_t k, std::uint64_t mask,
+                            std::uint64_t bits, CellEvents& events) {
+  const std::size_t w = r * words_per_row_ + k;
+  const std::uint64_t changed = mask & (value_[w] ^ bits);
+  const std::uint64_t switched = changed & ~stuck_[w];
+  value_[w] ^= switched;
+  add_per_cell(&transitions_[r * cols_ + k * kWordBits], switched, 1);
+  const std::uint64_t n = popcount(mask);
+  writes_ += n;
+  pulses_ += n;
+  events.pulses += n;
+  events.transitions += popcount(switched);
+  events.absorbed += popcount(changed & stuck_[w]);
+}
+
+void CrsMemory::book(const CellEvents& events) const {
+  detail::book_crs_cell_events(params_, events.pulses, events.transitions,
+                               events.absorbed);
+}
 
 void CrsMemory::write(std::size_t r, std::size_t c, bool bit) {
-  at(r, c).write(bit);
-  ++writes_;
+  MEMCIM_CHECK(r < rows_ && c < cols_);
+  const std::uint64_t mask = std::uint64_t{1} << (c % kWordBits);
+  CellEvents events;
+  write_cells(r, c / kWordBits, mask, bit ? mask : 0, events);
+  book(events);
 }
 
 bool CrsMemory::read(std::size_t r, std::size_t c) {
-  const CrsReadResult result = at(r, c).read_with_writeback();
-  ++reads_;
-  if (result.destructive) ++destructive_reads_;
-  return result.bit;
+  MEMCIM_CHECK(r < rows_ && c < cols_);
+  const std::uint64_t mask = std::uint64_t{1} << (c % kWordBits);
+  CellEvents events;
+  read_cells(r, c / kWordBits, mask, events);
+  book(events);
+  return stored(r, c);
 }
 
 void CrsMemory::write_word(std::size_t r, const std::vector<bool>& bits) {
   MEMCIM_CHECK_MSG(bits.size() == cols_, "word width mismatch");
-  for (std::size_t c = 0; c < cols_; ++c) write(r, c, bits[c]);
+  MEMCIM_CHECK(r < rows_);
+  CellEvents events;
+  for (std::size_t k = 0; k < words_per_row_; ++k) {
+    const std::size_t base = k * kWordBits;
+    const std::size_t held = std::min(kWordBits, cols_ - base);
+    std::uint64_t word = 0;
+    for (std::size_t b = 0; b < held; ++b)
+      if (bits[base + b]) word |= std::uint64_t{1} << b;
+    write_cells(r, k, column_mask(k), word, events);
+  }
+  book(events);
+}
+
+std::span<const std::uint64_t> CrsMemory::read_row(std::size_t r) {
+  MEMCIM_CHECK(r < rows_);
+  CellEvents events;
+  for (std::size_t k = 0; k < words_per_row_; ++k)
+    read_cells(r, k, column_mask(k), events);
+  book(events);
+  return {value_.data() + r * words_per_row_, words_per_row_};
 }
 
 std::vector<bool> CrsMemory::read_word(std::size_t r) {
+  const std::span<const std::uint64_t> words = read_row(r);
   std::vector<bool> bits(cols_);
-  for (std::size_t c = 0; c < cols_; ++c) bits[c] = read(r, c);
+  for (std::size_t c = 0; c < cols_; ++c)
+    bits[c] = ((words[c / kWordBits] >> (c % kWordBits)) & 1u) != 0;
   return bits;
 }
 
-std::uint64_t CrsMemory::total_pulses() const {
-  std::uint64_t total = 0;
-  for (const CrsCell& cell : cells_) total += cell.pulses();
-  return total;
+void CrsMemory::inject_stuck(std::size_t r, std::size_t c, bool stuck_one) {
+  MEMCIM_CHECK(r < rows_ && c < cols_);
+  const std::size_t w = r * words_per_row_ + c / kWordBits;
+  const std::uint64_t mask = std::uint64_t{1} << (c % kWordBits);
+  stuck_[w] |= mask;
+  value_[w] = stuck_one ? (value_[w] | mask) : (value_[w] & ~mask);
+}
+
+bool CrsMemory::stored(std::size_t r, std::size_t c) const {
+  MEMCIM_CHECK(r < rows_ && c < cols_);
+  return ((value_[r * words_per_row_ + c / kWordBits] >> (c % kWordBits)) &
+          1u) != 0;
+}
+
+std::uint64_t CrsMemory::transitions(std::size_t r, std::size_t c) const {
+  MEMCIM_CHECK(r < rows_ && c < cols_);
+  return transitions_[r * cols_ + c];
 }
 
 Energy CrsMemory::total_energy() const {
+  QuantumSumTable per_cell(params_.e_per_switch.value());
   Energy total{0.0};
-  for (const CrsCell& cell : cells_) total += cell.energy();
+  for (const std::uint64_t t : transitions_) total += Energy(per_cell.sum(t));
   return total;
 }
 
 Time CrsMemory::total_time() const {
-  if (cells_.empty()) return Time(0.0);
-  return cells_.front().params().t_pulse * static_cast<double>(total_pulses());
+  return params_.t_pulse * static_cast<double>(pulses_);
 }
 
 }  // namespace memcim

@@ -6,10 +6,29 @@
 // are structurally absent in a CRS array, which is exactly the paper's
 // argument for using CRS junctions, so no network solve is needed for
 // functional operation.
+//
+// The bank is bit-sliced: each row is stored as u64 words in two planes,
+// a value plane (bit set ⇔ the cell holds '1') and a stuck plane (bit
+// set ⇔ the cell is pinned to its value).  Writes drive a cell to '0' or
+// '1' and every destructive read is written back, so those two states
+// are the only ones a cell can rest in, and every transaction is booked
+// per word in closed form — exactly what a CrsCell (src/device/crs.h)
+// walking the same pulses would count:
+//
+//   read of a '1'            1 pulse
+//   read of a free '0'       2 pulses (read + write-back), 2 transitions,
+//                            one destructive read
+//   read of a stuck '0'      1 pulse, the ON transition absorbed
+//   write                    1 pulse, plus 1 transition when a free
+//                            cell's value changes (absorbed when stuck)
+//
+// tests/crossbar/crs_memory_oracle_test.cpp holds the bank to a grid of
+// CrsCells driven through the same operations.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "device/crs.h"
@@ -18,6 +37,8 @@ namespace memcim {
 
 class CrsMemory {
  public:
+  /// Throws Error unless both dimensions are positive and the cell
+  /// count fits the bank's per-cell books.
   CrsMemory(std::size_t rows, std::size_t cols,
             const CrsCellParams& cell_params);
 
@@ -35,11 +56,22 @@ class CrsMemory {
   void write_word(std::size_t r, const std::vector<bool>& bits);
   [[nodiscard]] std::vector<bool> read_word(std::size_t r);
 
-  [[nodiscard]] const CrsCell& cell(std::size_t r, std::size_t c) const;
+  /// Read every cell of row r (write-back included, booked like
+  /// read_word) and return the row as u64 words: bit c % 64 of word
+  /// c / 64 is column c, padding bits are 0.  The view aliases the bank's
+  /// value plane: later writes and fault injections show through it.
+  [[nodiscard]] std::span<const std::uint64_t> read_row(std::size_t r);
 
-  /// Mutable cell access for fault injection (src/fault/): pin a cell
-  /// stuck via CrsCell::force_stuck() or corrupt its state directly.
-  [[nodiscard]] CrsCell& cell_mut(std::size_t r, std::size_t c);
+  /// Fault injection (src/fault/): pin cell (r, c) to '1' or '0'.  Later
+  /// pulses are still issued and counted but absorbed without a state
+  /// change, like CrsCell::force_stuck.
+  void inject_stuck(std::size_t r, std::size_t c, bool stuck_one);
+
+  // -- per-cell inspection (no pulse issued) ----------------------------------
+  /// The value cell (r, c) currently holds.
+  [[nodiscard]] bool stored(std::size_t r, std::size_t c) const;
+  /// State transitions cell (r, c) has made (endurance proxy).
+  [[nodiscard]] std::uint64_t transitions(std::size_t r, std::size_t c) const;
 
   // -- transaction statistics -----------------------------------------------
   [[nodiscard]] std::uint64_t reads() const { return reads_; }
@@ -48,18 +80,39 @@ class CrsMemory {
     return destructive_reads_;
   }
   /// Total pulses across all cells (reads, write-backs and writes).
-  [[nodiscard]] std::uint64_t total_pulses() const;
-  /// Total switching energy across all cells.
+  [[nodiscard]] std::uint64_t total_pulses() const { return pulses_; }
+  /// Total switching energy across all cells: each cell's transitions
+  /// accrue e_per_switch one by one, and the cells fold in row-major
+  /// order, so the sum equals Σ CrsCell::energy() bit for bit.
   [[nodiscard]] Energy total_energy() const;
   /// Wall-clock time of all pulses issued so far (pulses are serialized
   /// per bank in this model).
   [[nodiscard]] Time total_time() const;
 
  private:
-  [[nodiscard]] CrsCell& at(std::size_t r, std::size_t c);
+  /// crs_cell.* events of one transaction, booked once at its end.
+  struct CellEvents {
+    std::uint64_t pulses = 0;
+    std::uint64_t transitions = 0;
+    std::uint64_t absorbed = 0;
+  };
+  /// Read the cells of `mask` in word k of row r (write-back included).
+  void read_cells(std::size_t r, std::size_t k, std::uint64_t mask,
+                  CellEvents& events);
+  /// Drive the cells of `mask` in word k of row r to the matching bits.
+  void write_cells(std::size_t r, std::size_t k, std::uint64_t mask,
+                   std::uint64_t bits, CellEvents& events);
+  void book(const CellEvents& events) const;
+  /// Mask of the columns held by word k of a row.
+  [[nodiscard]] std::uint64_t column_mask(std::size_t k) const;
 
   std::size_t rows_, cols_;
-  std::vector<CrsCell> cells_;
+  std::size_t words_per_row_;
+  CrsCellParams params_;
+  std::vector<std::uint64_t> value_;        ///< [row][word], '1' bits
+  std::vector<std::uint64_t> stuck_;        ///< [row][word], pinned bits
+  std::vector<std::uint64_t> transitions_;  ///< [row][col]
+  std::uint64_t pulses_ = 0;
   std::uint64_t reads_ = 0;
   std::uint64_t writes_ = 0;
   std::uint64_t destructive_reads_ = 0;

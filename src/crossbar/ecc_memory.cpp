@@ -104,8 +104,7 @@ void EccCrsMemory::inject_error(std::size_t row, std::size_t bit) {
 void EccCrsMemory::inject_stuck(std::size_t row, std::size_t bit,
                                 bool stuck_one) {
   MEMCIM_CHECK_MSG(bit < kEccCodewordBits, "bit index out of codeword");
-  memory_.cell_mut(row, bit).force_stuck(stuck_one ? CrsState::kOne
-                                                   : CrsState::kZero);
+  memory_.inject_stuck(row, bit, stuck_one);
 }
 
 }  // namespace memcim

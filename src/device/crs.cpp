@@ -172,17 +172,36 @@ std::vector<IvPoint> sweep_iv(CrsDevice& crs, Voltage v_max,
 // CrsCell
 // ---------------------------------------------------------------------------
 
+void check_crs_cell_params(const CrsCellParams& params) {
+  MEMCIM_CHECK_MSG(params.v_th1.value() > 0.0 &&
+                       params.v_th2.value() > params.v_th1.value(),
+                   "require 0 < v_th1 < v_th2");
+  MEMCIM_CHECK_MSG(params.v_th3.value() < 0.0 &&
+                       params.v_th4.value() < params.v_th3.value(),
+                   "require v_th4 < v_th3 < 0");
+  MEMCIM_CHECK_MSG(params.v_read.value() > params.v_th1.value() &&
+                       params.v_read.value() < params.v_th2.value(),
+                   "v_read must lie in (v_th1, v_th2)");
+}
+
+void detail::book_crs_cell_events(const CrsCellParams& params,
+                                  std::uint64_t pulses,
+                                  std::uint64_t transitions,
+                                  std::uint64_t absorbed) {
+  if (!telemetry::enabled()) return;
+  CellMetrics& m = cell_metrics();
+  m.pulses.add(pulses);
+  if (transitions != 0) {
+    m.transitions.add(transitions);
+    m.energy_aj.add(transitions * static_cast<std::uint64_t>(std::llround(
+                                      params.e_per_switch.value() * 1e18)));
+  }
+  if (absorbed != 0) m.stuck_absorbed.add(absorbed);
+}
+
 CrsCell::CrsCell(const CrsCellParams& params, CrsState initial)
     : params_(params), state_(initial) {
-  MEMCIM_CHECK_MSG(params_.v_th1.value() > 0.0 &&
-                       params_.v_th2.value() > params_.v_th1.value(),
-                   "require 0 < v_th1 < v_th2");
-  MEMCIM_CHECK_MSG(params_.v_th3.value() < 0.0 &&
-                       params_.v_th4.value() < params_.v_th3.value(),
-                   "require v_th4 < v_th3 < 0");
-  MEMCIM_CHECK_MSG(params_.v_read.value() > params_.v_th1.value() &&
-                       params_.v_read.value() < params_.v_th2.value(),
-                   "v_read must lie in (v_th1, v_th2)");
+  check_crs_cell_params(params_);
 }
 
 void CrsCell::force_stuck(CrsState pinned) {

@@ -20,6 +20,7 @@
 //    memory layers.
 #pragma once
 
+#include <cstdint>
 #include <memory>
 #include <optional>
 #include <vector>
@@ -104,6 +105,20 @@ struct CrsCellParams {
   Energy e_per_switch{1e-15};   ///< dynamic energy per state change (1 fJ, Table 1)
   Resistance r_lrs{10e3};       ///< single-device LRS for ON-current estimate
 };
+
+/// Throws Error unless 0 < v_th1 < v_read < v_th2 and v_th4 < v_th3 < 0:
+/// the threshold ladder every CRS model here relies on.
+void check_crs_cell_params(const CrsCellParams& params);
+
+namespace detail {
+/// Book CRS cell events on the crs_cell.* counters (nothing while
+/// telemetry is off): `pulses` pulses, `transitions` state changes at
+/// params.e_per_switch each, and `absorbed` pulses a stuck cell absorbed.
+/// CrsCell books pulse by pulse; CrsMemory books a word transaction at
+/// once, with the same totals.
+void book_crs_cell_events(const CrsCellParams& params, std::uint64_t pulses,
+                          std::uint64_t transitions, std::uint64_t absorbed);
+}  // namespace detail
 
 /// Outcome of a CrsCell::read().
 struct CrsReadResult {

@@ -62,8 +62,7 @@ CrossbarFaultSummary apply_fault_plan(CrsMemory& memory,
   return walk(
       plan, memory.rows() * cols,
       [&](std::size_t site, bool lrs) {
-        memory.cell_mut(site / cols, site % cols)
-            .force_stuck(lrs ? CrsState::kOne : CrsState::kZero);
+        memory.inject_stuck(site / cols, site % cols, lrs);
       },
       [](std::size_t, double) {});  // behavioural cells carry no analog state
 }

@@ -140,19 +140,17 @@ std::vector<std::uint64_t> PackedFabric::transitions_per_lane() const {
   return out;
 }
 
-PackedRunResult run_program_packed(
-    const PackedProgram& compiled,
-    const std::vector<std::vector<bool>>& input_sets,
-    const PackedRunOptions& options) {
-  MEMCIM_CHECK_MSG(!input_sets.empty(),
-                   "packed run needs at least one window");
-  const std::size_t windows = input_sets.size();
-  for (const std::vector<bool>& inputs : input_sets)
-    MEMCIM_CHECK_MSG(inputs.size() == compiled.inputs,
-                     "program expects " << compiled.inputs << " inputs, got "
-                                        << inputs.size());
-
+PackedRunResult run_program_packed(const PackedProgram& compiled,
+                                   std::size_t windows,
+                                   std::span<const std::uint64_t> lane_words,
+                                   const PackedRunOptions& options) {
+  MEMCIM_CHECK_MSG(windows > 0, "packed run needs at least one window");
   const std::size_t blocks = packed_lane_blocks(windows);
+  MEMCIM_CHECK_MSG(lane_words.size() == blocks * compiled.inputs,
+                   "program expects " << blocks * compiled.inputs
+                                      << " input lane words for " << windows
+                                      << " windows, got "
+                                      << lane_words.size());
   const std::size_t n_out = compiled.outputs.empty()
                                 ? std::size_t{1}
                                 : compiled.outputs.size();
@@ -166,12 +164,8 @@ PackedRunResult run_program_packed(
       PackedFabric fabric(compiled.registers, lanes);
       // Input load: the scalar path issues one fabric.set per input per
       // window; packed, that is one lane-word write per input register.
-      for (std::size_t i = 0; i < compiled.inputs; ++i) {
-        std::uint64_t bits = 0;
-        for (std::size_t w = 0; w < lanes; ++w)
-          if (input_sets[base + w][i]) bits |= std::uint64_t{1} << w;
-        fabric.set_lanes(i, bits);
-      }
+      for (std::size_t i = 0; i < compiled.inputs; ++i)
+        fabric.set_lanes(i, lane_words[b * compiled.inputs + i]);
       for (const CimInstruction& inst : compiled.instructions) {
         switch (inst.op) {
           case CimOp::kSetFalse:
@@ -258,6 +252,27 @@ PackedRunResult run_program_packed(
     pm.transitions.add(transitions_total);
   }
   return result;
+}
+
+PackedRunResult run_program_packed(
+    const PackedProgram& compiled,
+    const std::vector<std::vector<bool>>& input_sets,
+    const PackedRunOptions& options) {
+  MEMCIM_CHECK_MSG(!input_sets.empty(),
+                   "packed run needs at least one window");
+  const std::size_t inputs = compiled.inputs;
+  std::vector<std::uint64_t> lane_words(
+      packed_lane_blocks(input_sets.size()) * inputs, 0);
+  for (std::size_t w = 0; w < input_sets.size(); ++w) {
+    MEMCIM_CHECK_MSG(input_sets[w].size() == inputs,
+                     "program expects " << inputs << " inputs, got "
+                                        << input_sets[w].size());
+    std::uint64_t* block = lane_words.data() + (w / kPackedLanes) * inputs;
+    const std::uint64_t lane = std::uint64_t{1} << (w % kPackedLanes);
+    for (std::size_t i = 0; i < inputs; ++i)
+      if (input_sets[w][i]) block[i] |= lane;
+  }
+  return run_program_packed(compiled, input_sets.size(), lane_words, options);
 }
 
 PackedRunResult run_program_packed(

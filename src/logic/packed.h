@@ -32,6 +32,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "logic/fabric.h"
@@ -141,11 +142,23 @@ struct PackedRunResult {
   std::uint64_t steps_per_window = 0;
 };
 
-/// Packed replay of `compiled` across `input_sets.size()` windows,
-/// chunked into 64-lane blocks over the thread pool.  Bitwise
-/// equivalent to run_program_simd on a scalar cost-model backend with
-/// the same step quanta: identical outputs, latency, energy, writes,
-/// and fabric.* / program.* telemetry tallies.
+/// Packed replay of `compiled` across `windows` windows given as input
+/// lane words, chunked into 64-lane blocks over the thread pool:
+/// `lane_words[b * compiled.inputs + i]` holds input i of windows
+/// 64b .. 64b+63, bit w for window 64b + w (bits past the last window
+/// are ignored).  This is the engine's one entry point; callers that
+/// hold their inputs bit-sliced already (CimTile's stored rows) hand
+/// them over without a per-window copy.  Bitwise equivalent to
+/// run_program_simd on a scalar cost-model backend with the same step
+/// quanta: identical outputs, latency, energy, writes, and fabric.* /
+/// program.* telemetry tallies.
+[[nodiscard]] PackedRunResult run_program_packed(
+    const PackedProgram& compiled, std::size_t windows,
+    std::span<const std::uint64_t> lane_words,
+    const PackedRunOptions& options = {});
+
+/// Packed replay of `input_sets.size()` windows, one input vector per
+/// window: transposes them into lane words for the form above.
 [[nodiscard]] PackedRunResult run_program_packed(
     const PackedProgram& compiled,
     const std::vector<std::vector<bool>>& input_sets,

@@ -117,6 +117,9 @@ TEST(CimTile, Validation) {
   CimTileConfig bad;
   bad.rows = 0;
   EXPECT_THROW(CimTile{bad}, Error);
+  bad.rows = std::size_t{1} << 33;  // rows * row_bits wraps std::size_t
+  bad.row_bits = std::size_t{1} << 33;
+  EXPECT_THROW(CimTile{bad}, Error);
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <ostream>
 #include <vector>
 
 #include "arch/cim_tile.h"
@@ -56,26 +57,46 @@ class ScalarCompareOracle {
   LogicCostModel cost_;
 };
 
-TEST(CompareEngine, CompiledReproducesTheScalarWalkExactly) {
+struct TileShape {
+  std::size_t rows;
+  std::size_t row_bits;
+};
+
+void PrintTo(const TileShape& shape, std::ostream* os) {
+  *os << shape.rows << "x" << shape.row_bits;
+}
+
+/// Shapes on both sides of the 64-row lane block and the 64-bit row
+/// word: the compare transposes stored row words into lane words.
+class CompareEngine : public ::testing::TestWithParam<TileShape> {};
+
+TEST_P(CompareEngine, CompiledReproducesTheScalarWalkExactly) {
   CimTileConfig cfg;
-  cfg.rows = 8;
-  cfg.row_bits = 12;
+  cfg.rows = GetParam().rows;
+  cfg.row_bits = GetParam().row_bits;
   cfg.cell = presets::crs_cell();
   CimTile tile(cfg);
   ScalarCompareOracle oracle(cfg.cost);
 
   Rng rng(0x71EEull);
   std::vector<std::vector<bool>> rows;
+  std::uint64_t stored_zeros = 0;
   for (std::size_t r = 0; r < cfg.rows; ++r) {
     rows.push_back(random_word(cfg.row_bits, rng));
     tile.store_row(r, rows.back());
+    stored_zeros += static_cast<std::uint64_t>(
+        std::count(rows.back().begin(), rows.back().end(), false));
   }
 
+  const CrsMemory& memory = tile.memory();
   for (int q = 0; q < 32; ++q) {
     // Mix random keys with exact row hits so matches actually fire.
     const std::vector<bool> key =
         (q % 4 == 0) ? rows[static_cast<std::size_t>(q) % cfg.rows]
                      : random_word(cfg.row_bits, rng);
+    const std::uint64_t reads = memory.reads();
+    const std::uint64_t destructive = memory.destructive_reads();
+    const std::uint64_t pulses = memory.total_pulses();
     EXPECT_EQ(tile.parallel_compare(key), oracle.compare(rows, key))
         << "query " << q;
     // Book-exact: same accumulated latency and energy after every query.
@@ -85,8 +106,24 @@ TEST(CompareEngine, CompiledReproducesTheScalarWalkExactly) {
         << "query " << q;
     EXPECT_EQ(tile.stats().operations,
               static_cast<std::uint64_t>(q + 1) * cfg.rows);
+    // The storage side of the compare: every cell read once, every
+    // stored '0' destroyed and written back.
+    EXPECT_EQ(memory.reads() - reads, cfg.rows * cfg.row_bits)
+        << "query " << q;
+    EXPECT_EQ(memory.destructive_reads() - destructive, stored_zeros)
+        << "query " << q;
+    EXPECT_EQ(memory.total_pulses() - pulses,
+              (memory.reads() - reads) +
+                  (memory.destructive_reads() - destructive))
+        << "query " << q;
   }
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    TileShapes, CompareEngine,
+    ::testing::Values(TileShape{8, 12}, TileShape{1, 1}, TileShape{64, 64},
+                      TileShape{65, 33}, TileShape{130, 100}),
+    ::testing::PrintToStringParamName());
 
 }  // namespace
 }  // namespace memcim

@@ -34,7 +34,8 @@ TEST(CrsMemory, DestructiveReadsAreCountedAndRestored) {
   EXPECT_EQ(mem.destructive_reads(), 1u);
   EXPECT_TRUE(mem.read(0, 1));  // reading '1' is not
   EXPECT_EQ(mem.destructive_reads(), 1u);
-  EXPECT_EQ(mem.cell(0, 0).state(), CrsState::kZero);  // written back
+  EXPECT_FALSE(mem.stored(0, 0));  // written back
+  EXPECT_EQ(mem.transitions(0, 0), 2u);  // '0' -> ON -> '0'
 }
 
 TEST(CrsMemory, WordOperations) {
@@ -80,8 +81,17 @@ TEST(CrsMemory, BoundsChecked) {
   CrsMemory mem(2, 2, presets::crs_cell());
   EXPECT_THROW(mem.write(2, 0, true), Error);
   EXPECT_THROW((void)mem.read(0, 2), Error);
-  EXPECT_THROW((void)mem.cell(5, 5), Error);
+  EXPECT_THROW((void)mem.stored(5, 5), Error);
+  EXPECT_THROW(mem.inject_stuck(0, 2, true), Error);
   EXPECT_THROW(CrsMemory(0, 2, presets::crs_cell()), Error);
+  // rows * cols wraps std::size_t to 0: the bank must refuse it rather
+  // than build empty planes that later writes would index.
+  const std::size_t huge = std::size_t{1} << 33;
+  EXPECT_THROW(CrsMemory(huge, huge, presets::crs_cell()), Error);
+  // No wrap, but more per-cell books than a vector can hold.
+  EXPECT_THROW(CrsMemory(std::size_t{1} << 31, std::size_t{1} << 31,
+                         presets::crs_cell()),
+               Error);
 }
 
 }  // namespace
