@@ -8,11 +8,13 @@
 //   * parallel_compare — match a key word against every stored row
 //     simultaneously (the DNA primitive).  Latency is one comparator
 //     pass (all rows run concurrently on their own row logic); energy
-//     sums over rows.  Each row is one packed window of the cached
-//     word-equality program: the storage bank hands its rows over as
-//     u64 words, which are transposed straight into the replay's input
-//     lane words.  The books equal the per-row IdealFabric walk bit for
-//     bit (tests/arch/compare_engine_test.cpp keeps that walk as the
+//     sums over rows.  Each row is one packed window of the
+//     word-equality program, which the tile binds on its first compare
+//     and keeps: the storage bank is read as one transaction and hands
+//     its value plane over as u64 words, which are transposed straight
+//     into the replay's input lane words in buffers the tile reuses.
+//     The books equal the per-row IdealFabric walk bit for bit
+//     (tests/arch/compare_engine_test.cpp keeps that walk as the
 //     oracle).
 //   * parallel_add — add word lanes of two rows into a destination row
 //     using CRS TC-adders, one per lane, all lanes concurrent (the
@@ -24,9 +26,11 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "crossbar/crs_memory.h"
+#include "isa/compiler.h"
 #include "logic/fabric.h"
 
 namespace memcim {
@@ -89,6 +93,10 @@ class alignas(64) CimTile {
   CimTileConfig config_;
   CrsMemory memory_;
   CimTileStats stats_;
+  // parallel_compare's program, bound on the first compare (a cache
+  // cleared after construction then compiles once), and its lane words.
+  std::shared_ptr<const isa::CompiledProgram> compare_program_;
+  std::vector<std::uint64_t> lane_words_;
 };
 
 }  // namespace memcim

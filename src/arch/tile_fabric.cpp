@@ -38,6 +38,8 @@ const CimTile& TileFabric::tile(std::size_t index) const {
 NocCycle TileFabric::compute_cycles(Time t) const {
   MEMCIM_CHECK(t.value() >= 0.0);
   const double cycles = std::ceil(t.value() / config_.noc.cycle.value());
+  // 2^64 is the first cycle count a NocCycle cannot hold; inf fails too.
+  MEMCIM_CHECK_MSG(cycles < 0x1p64, t.value() << " s is too many cycles");
   return static_cast<NocCycle>(cycles);
 }
 

@@ -53,6 +53,7 @@ class TileFabric {
 
   /// Tile compute time in whole NoC cycles, rounded up — the release
   /// offset a result packet carries relative to its command's arrival.
+  /// Throws Error unless t is finite, non-negative and under 2^64 cycles.
   [[nodiscard]] NocCycle compute_cycles(Time t) const;
 
   // -- per-tile busy books ----------------------------------------------------

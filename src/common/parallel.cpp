@@ -182,8 +182,11 @@ void parallel_for_chunks(std::size_t begin, std::size_t end,
   if (begin >= end) return;
   const std::size_t count = end - begin;
   if (grain == 0) grain = 1;
-  ThreadPool& p = pool();
-  if (t_in_parallel_region || p.size() == 1 || count < 2 * grain) {
+  // Nested and small regions are serial whatever the pool size, so they
+  // return before touching the pool and its global lock.
+  ThreadPool* const p =
+      t_in_parallel_region || count < 2 * grain ? nullptr : &pool();
+  if (p == nullptr || p->size() == 1) {
     if (telemetry::enabled()) {
       static telemetry::Counter& serial =
           telemetry::Registry::global().counter("parallel.pool.serial_regions");
@@ -200,7 +203,7 @@ void parallel_for_chunks(std::size_t begin, std::size_t end,
   // Chunk size: at least `grain`, at most what spreads the range across
   // every worker; the partition is a pure function of (range, grain,
   // pool size), never of scheduling.
-  const std::size_t by_workers = (count + p.size() - 1) / p.size();
+  const std::size_t by_workers = (count + p->size() - 1) / p->size();
   const std::size_t chunk = std::max(grain, by_workers);
   auto job = std::make_shared<Job>();
   job->fn = fn;
@@ -210,7 +213,7 @@ void parallel_for_chunks(std::size_t begin, std::size_t end,
   job->chunk = chunk;
   job->n_chunks = (count + chunk - 1) / chunk;
   job->remaining.store(job->n_chunks, std::memory_order_relaxed);
-  p.run(job);
+  p->run(job);
 }
 
 void parallel_for(std::size_t begin, std::size_t end, std::size_t grain,

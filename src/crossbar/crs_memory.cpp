@@ -16,10 +16,14 @@ std::uint64_t popcount(std::uint64_t x) {
   return static_cast<std::uint64_t>(std::popcount(x));
 }
 
-/// Add `step` to the per-cell book of every cell `mask` selects.
-void add_per_cell(std::uint64_t* cells, std::uint64_t mask,
-                  std::uint64_t step) {
-  for (; mask != 0; mask &= mask - 1) cells[std::countr_zero(mask)] += step;
+/// Add `step` to the per-cell book of every cell `mask` selects and
+/// return how many cells that was.
+std::uint64_t add_per_cell(std::uint64_t* cells, std::uint64_t mask,
+                           std::uint64_t step) {
+  std::uint64_t n = 0;
+  for (; mask != 0; mask &= mask - 1, ++n)
+    cells[std::countr_zero(mask)] += step;
+  return n;
 }
 
 }  // namespace
@@ -47,21 +51,20 @@ std::uint64_t CrsMemory::column_mask(std::size_t k) const {
 }
 
 void CrsMemory::read_cells(std::size_t r, std::size_t k, std::uint64_t mask,
-                           CellEvents& events) {
+                           std::uint64_t n, CellEvents& events) {
   const std::size_t w = r * words_per_row_ + k;
   const std::uint64_t zeros = mask & ~value_[w];
   // A free '0' switches to ON (the spike) and is written back; a stuck
   // '0' absorbs the read pulse; a '1' stays quiet.
-  const std::uint64_t destroyed = zeros & ~stuck_[w];
-  add_per_cell(&transitions_[r * cols_ + k * kWordBits], destroyed, 2);
-  const std::uint64_t n = popcount(mask);
-  const std::uint64_t d = popcount(destroyed);
+  const std::uint64_t d = add_per_cell(
+      &transitions_[r * cols_ + k * kWordBits], zeros & ~stuck_[w], 2);
   reads_ += n;
   destructive_reads_ += d;
   pulses_ += n + d;
   events.pulses += n + d;
   events.transitions += 2 * d;
-  events.absorbed += popcount(zeros & stuck_[w]);
+  if (const std::uint64_t absorbed = zeros & stuck_[w]; absorbed != 0)
+    events.absorbed += popcount(absorbed);
 }
 
 void CrsMemory::write_cells(std::size_t r, std::size_t k, std::uint64_t mask,
@@ -70,12 +73,12 @@ void CrsMemory::write_cells(std::size_t r, std::size_t k, std::uint64_t mask,
   const std::uint64_t changed = mask & (value_[w] ^ bits);
   const std::uint64_t switched = changed & ~stuck_[w];
   value_[w] ^= switched;
-  add_per_cell(&transitions_[r * cols_ + k * kWordBits], switched, 1);
   const std::uint64_t n = popcount(mask);
   writes_ += n;
   pulses_ += n;
   events.pulses += n;
-  events.transitions += popcount(switched);
+  events.transitions +=
+      add_per_cell(&transitions_[r * cols_ + k * kWordBits], switched, 1);
   events.absorbed += popcount(changed & stuck_[w]);
 }
 
@@ -96,7 +99,7 @@ bool CrsMemory::read(std::size_t r, std::size_t c) {
   MEMCIM_CHECK(r < rows_ && c < cols_);
   const std::uint64_t mask = std::uint64_t{1} << (c % kWordBits);
   CellEvents events;
-  read_cells(r, c / kWordBits, mask, events);
+  read_cells(r, c / kWordBits, mask, 1, events);
   book(events);
   return stored(r, c);
 }
@@ -116,17 +119,26 @@ void CrsMemory::write_word(std::size_t r, const std::vector<bool>& bits) {
   book(events);
 }
 
-std::span<const std::uint64_t> CrsMemory::read_row(std::size_t r) {
+std::span<const std::uint64_t> CrsMemory::read_row(std::size_t r,
+                                                   CellEvents& events) {
   MEMCIM_CHECK(r < rows_);
-  CellEvents events;
   for (std::size_t k = 0; k < words_per_row_; ++k)
-    read_cells(r, k, column_mask(k), events);
-  book(events);
+    read_cells(r, k, column_mask(k),
+               std::min(kWordBits, cols_ - k * kWordBits), events);
   return {value_.data() + r * words_per_row_, words_per_row_};
 }
 
+std::span<const std::uint64_t> CrsMemory::read_all() {
+  CellEvents events;
+  for (std::size_t r = 0; r < rows_; ++r) (void)read_row(r, events);
+  book(events);
+  return value_;
+}
+
 std::vector<bool> CrsMemory::read_word(std::size_t r) {
-  const std::span<const std::uint64_t> words = read_row(r);
+  CellEvents events;
+  const std::span<const std::uint64_t> words = read_row(r, events);
+  book(events);
   std::vector<bool> bits(cols_);
   for (std::size_t c = 0; c < cols_; ++c)
     bits[c] = ((words[c / kWordBits] >> (c % kWordBits)) & 1u) != 0;

@@ -56,11 +56,15 @@ class CrsMemory {
   void write_word(std::size_t r, const std::vector<bool>& bits);
   [[nodiscard]] std::vector<bool> read_word(std::size_t r);
 
-  /// Read every cell of row r (write-back included, booked like
-  /// read_word) and return the row as u64 words: bit c % 64 of word
-  /// c / 64 is column c, padding bits are 0.  The view aliases the bank's
-  /// value plane: later writes and fault injections show through it.
-  [[nodiscard]] std::span<const std::uint64_t> read_row(std::size_t r);
+  /// Read every cell of the bank, row by row, as one transaction: reads,
+  /// destructive reads, pulses and per-cell transitions grow exactly as
+  /// for a read_word of each row, and crs_cell.* is booked once.  Returns
+  /// the value plane: word k of row r is element r * words_per_row() + k,
+  /// bit c % 64 of word c / 64 is column c, padding bits are 0.  The view
+  /// aliases the bank: later writes and fault injections show through it.
+  [[nodiscard]] std::span<const std::uint64_t> read_all();
+  /// u64 words per row of the plane read_all returns.
+  [[nodiscard]] std::size_t words_per_row() const { return words_per_row_; }
 
   /// Fault injection (src/fault/): pin cell (r, c) to '1' or '0'.  Later
   /// pulses are still issued and counted but absorbed without a state
@@ -96,9 +100,13 @@ class CrsMemory {
     std::uint64_t transitions = 0;
     std::uint64_t absorbed = 0;
   };
-  /// Read the cells of `mask` in word k of row r (write-back included).
+  /// Read every cell of row r (write-back included) into `events` and
+  /// return the row as words, laid out like one row of read_all.
+  std::span<const std::uint64_t> read_row(std::size_t r, CellEvents& events);
+  /// Read the `n` cells of `mask` in word k of row r (write-back
+  /// included).
   void read_cells(std::size_t r, std::size_t k, std::uint64_t mask,
-                  CellEvents& events);
+                  std::uint64_t n, CellEvents& events);
   /// Drive the cells of `mask` in word k of row r to the matching bits.
   void write_cells(std::size_t r, std::size_t k, std::uint64_t mask,
                    std::uint64_t bits, CellEvents& events);

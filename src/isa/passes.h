@@ -89,7 +89,7 @@ inline constexpr std::size_t kNoRowBudget =
     const CimProgram& program, PassStats* stats = nullptr,
     std::size_t max_rows = kNoRowBudget);
 
-/// Window-packing decision for PackedFabric replay: lane blocks per
+/// Window-packing decision for the packed replay: lane blocks per
 /// thread-pool task, sized so short programs amortize the pool hand-off
 /// while long programs split at block grain for load balance.
 [[nodiscard]] std::size_t packing_block_grain(const PackedProgram& compiled);

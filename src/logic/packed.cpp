@@ -1,6 +1,7 @@
 #include "logic/packed.h"
 
 #include <algorithm>
+#include <atomic>
 #include <bit>
 
 #include "common/error.h"
@@ -33,11 +34,87 @@ PackedMetrics& packed_metrics() {
   return m;
 }
 
-/// What one 64-lane block produces; reduced serially in block order.
-struct BlockResult {
-  std::vector<std::uint64_t> outputs;      ///< one lane word per result reg
-  std::vector<std::uint64_t> transitions;  ///< per lane in the block
+std::uint64_t popcount(std::uint64_t x) {
+  return static_cast<std::uint64_t>(std::popcount(x));
+}
+
+/// Exact total of the set bits in a stream of 64-lane words without a
+/// popcount per word: every lane keeps a 4-bit count in four bit planes
+/// (c<p> holds bit p of each lane's count), and after 15 words, the most
+/// a 4-bit count can hold, the planes fold into the total.
+class BitTally {
+ public:
+  void add(std::uint64_t word) {
+    // Ripple the carries up from the old planes, then flip the planes.
+    const std::uint64_t carry1 = c0_ & word;
+    const std::uint64_t carry2 = c1_ & carry1;
+    const std::uint64_t carry3 = c2_ & carry2;
+    c0_ ^= word;
+    c1_ ^= carry1;
+    c2_ ^= carry2;
+    c3_ ^= carry3;
+    if (++pending_ == kFoldEvery) fold();
+  }
+
+  [[nodiscard]] std::uint64_t total() {
+    fold();
+    return total_;
+  }
+
+ private:
+  static constexpr int kFoldEvery = 15;
+
+  void fold() {
+    total_ += popcount(c0_) + 2 * popcount(c1_) + 4 * popcount(c2_) +
+              8 * popcount(c3_);
+    c0_ = c1_ = c2_ = c3_ = 0;
+    pending_ = 0;
+  }
+
+  std::uint64_t c0_ = 0, c1_ = 0, c2_ = 0, c3_ = 0;
+  std::uint64_t total_ = 0;
+  int pending_ = 0;
 };
+
+/// Replay `compiled` on one block of windows: `in` holds the block's
+/// input lane words, `mask` its active lanes, `regs` one word per
+/// register, and `out` receives one lane word per result register.
+/// Returns the register-value changes summed over the block's lanes.
+std::uint64_t replay_block(const PackedProgram& compiled,
+                           const std::uint64_t* in, std::uint64_t mask,
+                           std::uint64_t* regs, std::uint64_t* out) {
+  // Every register starts at 0 and only kSetFalse turns a 1 into a 0,
+  // so in every lane a register's flips are its final value plus twice
+  // the 1s kSetFalse clears: the book needs the cleared words and the
+  // final register words, not a flip mask per instruction.
+  BitTally cleared;
+  // Input load: the scalar path issues one fabric.set per input per
+  // window; packed, that is one lane-word write per input register.
+  for (std::size_t i = 0; i < compiled.inputs; ++i) regs[i] = in[i] & mask;
+  std::fill(regs + compiled.inputs, regs + compiled.registers, 0);
+  for (const CimInstruction& inst : compiled.instructions) {
+    switch (inst.op) {
+      case CimOp::kSetFalse:
+        // A fresh register is already 0: clearing it books nothing.
+        if (regs[inst.a] != 0) {
+          cleared.add(regs[inst.a]);
+          regs[inst.a] = 0;
+        }
+        break;
+      case CimOp::kSetTrue:
+        regs[inst.a] = mask;
+        break;
+      case CimOp::kImply:
+        regs[inst.b] |= ~regs[inst.a] & mask;
+        break;
+    }
+  }
+  for (std::size_t o = 0; o < compiled.outputs.size(); ++o)
+    out[o] = regs[compiled.outputs[o]];
+  BitTally final_ones;
+  for (std::size_t r = 0; r < compiled.registers; ++r) final_ones.add(regs[r]);
+  return 2 * cleared.total() + final_ones.total();
+}
 
 }  // namespace
 
@@ -52,7 +129,6 @@ PackedProgram compile_program(const CimProgram& program) {
   PackedProgram compiled;
   compiled.registers = program.registers;
   compiled.inputs = program.inputs;
-  compiled.output = program.output;
   compiled.outputs = result_registers(program);
   for (const Reg r : compiled.outputs)
     MEMCIM_CHECK_MSG(r < program.registers,
@@ -78,66 +154,15 @@ PackedProgram compile_program(const CimProgram& program) {
   return compiled;
 }
 
-PackedFabric::PackedFabric(std::size_t registers, std::size_t lanes)
-    : lanes_(lanes),
-      lane_mask_(lanes >= kPackedLanes ? ~std::uint64_t{0}
-                                       : (std::uint64_t{1} << lanes) - 1),
-      words_(registers, 0) {
-  MEMCIM_CHECK_MSG(registers > 0, "packed fabric needs >= 1 register");
-  MEMCIM_CHECK_MSG(lanes >= 1 && lanes <= kPackedLanes,
-                   "packed fabric lanes must be 1.." << kPackedLanes
-                                                     << ", got " << lanes);
-}
-
-void PackedFabric::set_lanes(Reg r, std::uint64_t bits) {
-  MEMCIM_CHECK(r < words_.size());
-  bits &= lane_mask_;
-  const std::uint64_t delta = words_[r] ^ bits;
-  words_[r] = bits;
-  count_transitions(delta);
-}
-
-void PackedFabric::set_all(Reg r, bool value) {
-  MEMCIM_CHECK(r < words_.size());
-  const std::uint64_t next = value ? lane_mask_ : 0;
-  const std::uint64_t delta = words_[r] ^ next;
-  words_[r] = next;
-  count_transitions(delta);
-}
-
-void PackedFabric::imply(Reg p, Reg q) {
-  MEMCIM_CHECK(p < words_.size());
-  MEMCIM_CHECK(q < words_.size());
-  const std::uint64_t next = (words_[q] | ~words_[p]) & lane_mask_;
-  const std::uint64_t delta = words_[q] ^ next;
-  words_[q] = next;
-  count_transitions(delta);
-}
-
-std::uint64_t PackedFabric::read(Reg r) const {
-  MEMCIM_CHECK(r < words_.size());
-  return words_[r];
-}
-
-void PackedFabric::count_transitions(std::uint64_t delta) {
-  transitions_total_ += static_cast<std::uint64_t>(std::popcount(delta));
-  // Vertical ripple-carry add of the 64-lane increment mask: amortized
-  // ~2 word ops per micro-op instead of up to 64 scalar increments.
-  std::uint64_t carry = delta;
-  for (std::size_t p = 0; carry != 0; ++p) {
-    if (p == planes_.size()) planes_.push_back(0);
-    const std::uint64_t old = planes_[p];
-    planes_[p] = old ^ carry;
-    carry &= old;
-  }
-}
-
-std::vector<std::uint64_t> PackedFabric::transitions_per_lane() const {
-  std::vector<std::uint64_t> out(lanes_, 0);
-  for (std::size_t p = 0; p < planes_.size(); ++p)
-    for (std::size_t w = 0; w < lanes_; ++w)
-      out[w] |= ((planes_[p] >> w) & 1u) << p;
-  return out;
+std::vector<bool> PackedRunResult::wide(std::size_t w) const {
+  MEMCIM_CHECK_MSG(w < outputs.size(),
+                   "window " << w << " of " << outputs.size());
+  const std::uint64_t* block =
+      result_words.data() + w / kPackedLanes * results;
+  std::vector<bool> bits(results);
+  for (std::size_t o = 0; o < results; ++o)
+    bits[o] = ((block[o] >> (w % kPackedLanes)) & 1u) != 0;
+  return bits;
 }
 
 PackedRunResult run_program_packed(const PackedProgram& compiled,
@@ -151,65 +176,41 @@ PackedRunResult run_program_packed(const PackedProgram& compiled,
                                       << " input lane words for " << windows
                                       << " windows, got "
                                       << lane_words.size());
-  const std::size_t n_out = compiled.outputs.empty()
-                                ? std::size_t{1}
-                                : compiled.outputs.size();
-  std::vector<BlockResult> per_block(blocks);
-
-  const std::size_t grain = std::max<std::size_t>(1, options.block_grain);
-  parallel_for_chunks(0, blocks, grain, [&](std::size_t b0, std::size_t b1) {
-    for (std::size_t b = b0; b < b1; ++b) {
-      const std::size_t base = b * kPackedLanes;
-      const std::size_t lanes = std::min(kPackedLanes, windows - base);
-      PackedFabric fabric(compiled.registers, lanes);
-      // Input load: the scalar path issues one fabric.set per input per
-      // window; packed, that is one lane-word write per input register.
-      for (std::size_t i = 0; i < compiled.inputs; ++i)
-        fabric.set_lanes(i, lane_words[b * compiled.inputs + i]);
-      for (const CimInstruction& inst : compiled.instructions) {
-        switch (inst.op) {
-          case CimOp::kSetFalse:
-            fabric.set_all(inst.a, false);
-            break;
-          case CimOp::kSetTrue:
-            fabric.set_all(inst.a, true);
-            break;
-          case CimOp::kImply:
-            fabric.imply(inst.a, inst.b);
-            break;
-        }
-      }
-      per_block[b].outputs.reserve(n_out);
-      if (compiled.outputs.empty()) {
-        per_block[b].outputs.push_back(fabric.read(compiled.output));
-      } else {
-        for (const Reg r : compiled.outputs)
-          per_block[b].outputs.push_back(fabric.read(r));
-      }
-      per_block[b].transitions = fabric.transitions_per_lane();
-    }
-  });
-
-  // Serial reduction in block order: per-window payloads concatenate
-  // deterministically regardless of which worker ran which block.
+  const std::size_t n_out = compiled.outputs.size();
   PackedRunResult result;
-  result.outputs.reserve(windows);
-  result.wide.reserve(windows);
-  result.transitions.reserve(windows);
-  std::uint64_t transitions_total = 0;
-  for (std::size_t b = 0; b < blocks; ++b) {
-    const std::size_t base = b * kPackedLanes;
-    const std::size_t lanes = std::min(kPackedLanes, windows - base);
-    for (std::size_t w = 0; w < lanes; ++w) {
-      result.outputs.push_back(((per_block[b].outputs[0] >> w) & 1u) != 0);
-      std::vector<bool> bits;
-      bits.reserve(n_out);
-      for (std::size_t o = 0; o < n_out; ++o)
-        bits.push_back(((per_block[b].outputs[o] >> w) & 1u) != 0);
-      result.wide.push_back(std::move(bits));
-      result.transitions.push_back(per_block[b].transitions[w]);
-      transitions_total += per_block[b].transitions[w];
+  result.results = n_out;
+  result.result_words.assign(blocks * n_out, 0);
+
+  // Blocks write disjoint result words; the flip total is a u64 sum, so
+  // it is the same whichever worker ran which block.
+  std::atomic<std::uint64_t> transitions_total{0};
+  const auto run_blocks = [&](std::size_t b0, std::size_t b1) {
+    std::vector<std::uint64_t> regs(compiled.registers);
+    std::uint64_t flips = 0;
+    for (std::size_t b = b0; b < b1; ++b) {
+      const std::size_t lanes =
+          std::min(kPackedLanes, windows - b * kPackedLanes);
+      const std::uint64_t mask = lanes == kPackedLanes
+                                     ? ~std::uint64_t{0}
+                                     : (std::uint64_t{1} << lanes) - 1;
+      flips += replay_block(compiled, lane_words.data() + b * compiled.inputs,
+                            mask, regs.data(),
+                            result.result_words.data() + b * n_out);
     }
+    transitions_total += flips;
+  };
+  // Capturing one reference keeps the ChunkFn small enough to be stored
+  // without a heap allocation.
+  const std::size_t grain = std::max<std::size_t>(1, options.block_grain);
+  parallel_for_chunks(0, blocks, grain,
+                      [&run_blocks](std::size_t b0, std::size_t b1) {
+                        run_blocks(b0, b1);
+                      });
+  result.transitions = transitions_total;
+  result.outputs.resize(windows);
+  for (std::size_t w = 0; w < windows; ++w) {
+    const std::uint64_t first = result.result_words[w / kPackedLanes * n_out];
+    result.outputs[w] = ((first >> (w % kPackedLanes)) & 1u) != 0;
   }
 
   // Cost books, reconciled to what a scalar run_program_simd would have
@@ -249,7 +250,7 @@ PackedRunResult run_program_packed(const PackedProgram& compiled,
     pm.word_ops.add(static_cast<std::uint64_t>(blocks) *
                     (static_cast<std::uint64_t>(compiled.inputs) +
                      compiled.length() + n_out));
-    pm.transitions.add(transitions_total);
+    pm.transitions.add(result.transitions);
   }
   return result;
 }

@@ -7,22 +7,21 @@
 // 10^6 concurrent operations, and the array executes one instruction
 // across every row at once.
 //
-// This engine recovers that execution model in the simulator.  A
-// PackedFabric lays out W <= 64 independent register windows as ONE
-// u64 per register (struct-of-arrays: bit w of word r is window w's
-// register r), so each instruction executes for all windows with a
-// handful of bitwise ops:
+// This engine recovers that execution model in the simulator.  Each
+// block of W <= 64 independent register windows runs on a plain array
+// of register words, ONE u64 per register (struct-of-arrays: bit w of
+// word r is window w's register r), so each instruction executes for
+// all windows with a handful of bitwise ops:
 //
-//   kSetFalse  word[r]  = 0            (masked to the active lanes)
-//   kSetTrue   word[r] |= lane_mask
-//   kImply     word[q] |= ~word[p]     (q <- p IMP q, all lanes)
+//   kSetFalse  word[r]  = 0
+//   kSetTrue   word[r]  = lane_mask
+//   kImply     word[q] |= ~word[p]     (q <- p IMP q, masked to the lanes)
 //
 // Cost books are reconciled exactly, not approximately: the packed
 // runner books the same fabric.* / program.* telemetry tallies, the
-// same SimdRunResult latency/energy/writes, and — via popcount deltas
-// folded into per-lane vertical (bit-plane) counters — the same
-// per-window register-transition counts the scalar replay would have
-// produced.  Differential tests in tests/logic/packed_program_test.cpp
+// same SimdRunResult latency/energy/writes, and the same total of
+// register-value changes a boolean scalar replay of every window would
+// count.  Differential tests in tests/logic/packed_program_test.cpp
 // hold the two paths bit-identical.
 //
 // The engine models the *cost-model* fabrics only (boolean semantics
@@ -58,7 +57,6 @@ struct PackedProgram {
   std::vector<CimInstruction> instructions;
   std::size_t registers = 0;
   std::size_t inputs = 0;
-  Reg output = 0;
   std::vector<Reg> outputs;              ///< resolved result registers (≥1)
   std::uint64_t sets_per_window = 0;     ///< kSet* instructions (excl. input loads)
   std::uint64_t implies_per_window = 0;  ///< kImply instructions
@@ -84,62 +82,24 @@ struct PackedRunOptions {
   std::size_t block_grain = 1;
 };
 
-/// W <= 64 register windows packed one bit-lane per window.
-class PackedFabric {
- public:
-  /// A fabric of `registers` registers across `lanes` active windows
-  /// (1..64).  All registers start at logic 0, like Fabric::alloc.
-  PackedFabric(std::size_t registers, std::size_t lanes);
-
-  [[nodiscard]] std::size_t registers() const { return words_.size(); }
-  [[nodiscard]] std::size_t lanes() const { return lanes_; }
-  /// Bit mask of the active lanes (low `lanes()` bits set).
-  [[nodiscard]] std::uint64_t lane_mask() const { return lane_mask_; }
-
-  /// Per-lane write of register r (the input-load micro-op: one set per
-  /// lane in the scalar path, with per-window values).
-  void set_lanes(Reg r, std::uint64_t bits);
-  /// Broadcast write of register r (a compiled kSetTrue/kSetFalse).
-  void set_all(Reg r, bool value);
-  /// q <- p IMP q across all lanes.
-  void imply(Reg p, Reg q);
-  /// Sense register r: bit w is window w's value.
-  [[nodiscard]] std::uint64_t read(Reg r) const;
-
-  // -- transition book ------------------------------------------------------
-  /// Register-value changes per lane since construction, recovered from
-  /// the vertical popcount planes.
-  [[nodiscard]] std::vector<std::uint64_t> transitions_per_lane() const;
-  /// Total register-value changes across all lanes.
-  [[nodiscard]] std::uint64_t transitions_total() const {
-    return transitions_total_;
-  }
-
- private:
-  /// Fold one micro-op's flip mask into the vertical counters.
-  void count_transitions(std::uint64_t delta);
-
-  std::size_t lanes_;
-  std::uint64_t lane_mask_;
-  std::vector<std::uint64_t> words_;
-  /// Vertical (bit-plane) per-lane transition counters: plane p holds
-  /// bit p of every lane's count, so adding a 64-lane flip mask is a
-  /// ripple-carry over O(log ops) words instead of 64 increments.
-  std::vector<std::uint64_t> planes_;
-  std::uint64_t transitions_total_ = 0;
-};
-
 /// Result of a packed SIMD replay: everything SimdRunResult reports,
-/// plus the recovered per-window transition counts and the per-window
-/// step count (handy for latency cross-checks).
+/// plus every window's result registers as lane words, the total
+/// register-value changes and the per-window step count (handy for
+/// latency cross-checks).
 struct PackedRunResult {
-  std::vector<bool> outputs;                 ///< one per window (first result)
-  std::vector<std::vector<bool>> wide;       ///< [window][result register]
-  std::vector<std::uint64_t> transitions;    ///< register flips per window
-  Time latency{0.0};                         ///< one program pass
-  Energy energy{0.0};                        ///< summed over all windows
+  std::vector<bool> outputs;  ///< one per window (first result)
+  /// Result lane words: `result_words[b * results + o]` holds result
+  /// register o of windows 64b .. 64b+63, bit w for window 64b + w.
+  std::vector<std::uint64_t> result_words;
+  std::size_t results = 1;        ///< result registers per window
+  std::uint64_t transitions = 0;  ///< register flips summed over windows
+  Time latency{0.0};              ///< one program pass
+  Energy energy{0.0};             ///< summed over all windows
   std::uint64_t writes = 0;
   std::uint64_t steps_per_window = 0;
+
+  /// Window w's result bits, in result-register order.
+  [[nodiscard]] std::vector<bool> wide(std::size_t w) const;
 };
 
 /// Packed replay of `compiled` across `windows` windows given as input
@@ -148,7 +108,9 @@ struct PackedRunResult {
 /// 64b .. 64b+63, bit w for window 64b + w (bits past the last window
 /// are ignored).  This is the engine's one entry point; callers that
 /// hold their inputs bit-sliced already (CimTile's stored rows) hand
-/// them over without a per-window copy.  Bitwise equivalent to
+/// them over without a per-window copy.  `compiled` must come from
+/// compile_program, which validated every register index the replay
+/// loop then uses unchecked.  Bitwise equivalent to
 /// run_program_simd on a scalar cost-model backend with the same step
 /// quanta: identical outputs, latency, energy, writes, and fabric.* /
 /// program.* telemetry tallies.

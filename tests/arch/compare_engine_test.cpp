@@ -1,19 +1,22 @@
-// Tile compare: CimTile::parallel_compare replays the cached
-// word-equality program on the packed engine.  It must be a drop-in for
-// the per-row IdealFabric walk the program was recorded from, which
-// this test keeps as the oracle — bitwise-identical match vectors AND
-// an exactly reconciled cost book.
+// Tile compare: CimTile::parallel_compare replays the word-equality
+// program it binds on its first compare on the packed engine.  It must
+// be a drop-in for the per-row IdealFabric walk the program was recorded
+// from, which this test keeps as the oracle — bitwise-identical match
+// vectors AND an exactly reconciled cost book.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <ostream>
 #include <vector>
 
 #include "arch/cim_tile.h"
 #include "common/rng.h"
 #include "device/presets.h"
+#include "isa/cache.h"
 #include "logic/comparator.h"
 #include "logic/ideal_fabric.h"
+#include "telemetry/telemetry.h"
 
 namespace memcim {
 namespace {
@@ -117,6 +120,61 @@ TEST_P(CompareEngine, CompiledReproducesTheScalarWalkExactly) {
                   (memory.destructive_reads() - destructive))
         << "query " << q;
   }
+}
+
+/// Telemetry books compiler.compiles only while it is on; keep it on for
+/// the test and restore whatever the process started with.
+struct TelemetryOn {
+  bool was = telemetry::enabled();
+  TelemetryOn() { telemetry::set_enabled(true); }
+  ~TelemetryOn() { telemetry::set_enabled(was); }
+};
+
+/// A tile binds its program on the first compare and keeps it: after
+/// the program cache is cleared its next compare compiles nothing, and
+/// its matches and books equal those of a fresh tile that fills the
+/// cleared cache again.
+TEST_P(CompareEngine, KeepsItsProgramAcrossACacheClear) {
+  const TelemetryOn telemetry_on;
+  CimTileConfig cfg;
+  cfg.rows = GetParam().rows;
+  cfg.row_bits = GetParam().row_bits;
+  cfg.cell = presets::crs_cell();
+  Rng rng(0xB17Dull);
+  std::vector<std::vector<bool>> rows;
+  for (std::size_t r = 0; r < cfg.rows; ++r)
+    rows.push_back(random_word(cfg.row_bits, rng));
+  const auto make_tile = [&] {
+    CimTile tile(cfg);
+    for (std::size_t r = 0; r < cfg.rows; ++r) tile.store_row(r, rows[r]);
+    return tile;
+  };
+  const std::vector<bool> first_key = random_word(cfg.row_bits, rng);
+  const std::vector<bool>& second_key = rows[cfg.rows / 2];
+
+  CimTile bound = make_tile();
+  (void)bound.parallel_compare(first_key);
+  isa::ProgramCache::global().clear();
+  const telemetry::Counter& compiles =
+      telemetry::Registry::global().counter("compiler.compiles");
+  const std::uint64_t compiled = compiles.value();
+  const std::vector<bool> matches = bound.parallel_compare(second_key);
+  EXPECT_EQ(compiles.value(), compiled);
+
+  CimTile fresh = make_tile();
+  (void)fresh.parallel_compare(first_key);
+  EXPECT_EQ(compiles.value(), compiled + 1);
+  EXPECT_EQ(fresh.parallel_compare(second_key), matches);
+  EXPECT_TRUE(matches[cfg.rows / 2]);
+  EXPECT_EQ(bound.stats().latency.value(), fresh.stats().latency.value());
+  EXPECT_EQ(bound.stats().energy.value(), fresh.stats().energy.value());
+  EXPECT_EQ(bound.stats().operations, fresh.stats().operations);
+  EXPECT_EQ(bound.memory().reads(), fresh.memory().reads());
+  EXPECT_EQ(bound.memory().destructive_reads(),
+            fresh.memory().destructive_reads());
+  EXPECT_EQ(bound.memory().total_pulses(), fresh.memory().total_pulses());
+  EXPECT_EQ(bound.memory().total_energy().value(),
+            fresh.memory().total_energy().value());
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -96,8 +96,11 @@ TEST(Parallel, ReportingThePoolSizeStartsNoThreads) {
   const std::size_t reported = parallel_threads();
   EXPECT_GE(reported, 1u);
   EXPECT_EQ(process_threads(), before);
-  // The size reported is the size of the pool the first region starts.
+  // A region below 2·grain runs inline without starting the pool.
   parallel_for(0, 1, 1, [](std::size_t) {});
+  EXPECT_EQ(process_threads(), before);
+  // The size reported is the size of the pool the first region starts.
+  parallel_for(0, 2, 1, [](std::size_t) {});
   EXPECT_EQ(parallel_threads(), reported);
 }
 

@@ -1,13 +1,16 @@
 // Differential test: the bit-sliced CrsMemory against a row-major grid of
 // CrsCells — the device model the bank's closed-form books are derived
-// from — driven through one seeded stream of bit and word reads, writes
-// and stuck-at injections.  After every operation the returned bits,
-// every cell's value and transition count, the bank totals and the
-// crs_cell.* telemetry each side booked must agree exactly.  Row widths
-// of 64, 65 and 130 put cells on both sides of u64 word boundaries.
+// from — driven through one seeded stream of bit, word and whole-bank
+// reads, writes and stuck-at injections.  After every operation the
+// returned bits, every cell's value and transition count, the bank
+// totals and the crs_cell.* telemetry each side booked must agree
+// exactly.  Row widths of 64, 65 and 130 put cells on both sides of u64
+// word boundaries.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <ostream>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -137,7 +140,7 @@ TEST_P(CrsMemoryOracle, MatchesACrsCellGridAfterEveryOperation) {
     for (int op = 0; op < kOpsPerSeed; ++op) {
       const std::size_t r = pick(shape.rows);
       const std::size_t c = pick(shape.cols);
-      const std::size_t kind = pick(20);
+      const std::size_t kind = pick(22);
       std::string what;
       const CellCounters before = read_counters();
       CellCounters mid;
@@ -163,12 +166,28 @@ TEST_P(CrsMemoryOracle, MatchesACrsCellGridAfterEveryOperation) {
         const std::vector<bool> got = bank.read_word(r);
         mid = read_counters();
         EXPECT_EQ(got, grid.read_word(r));
-      } else {
+      } else if (kind < 20) {
         const bool stuck_one = kind == 18;
         what = stuck_one ? "inject_stuck(1)" : "inject_stuck(0)";
         bank.inject_stuck(r, c, stuck_one);
         mid = read_counters();
         grid.inject_stuck(r, c, stuck_one);
+      } else {
+        what = "read_all";
+        const std::span<const std::uint64_t> plane = bank.read_all();
+        mid = read_counters();
+        const std::size_t words = bank.words_per_row();
+        ASSERT_EQ(plane.size(), shape.rows * words);
+        // The grid reads every cell in row-major order, as the bank does.
+        for (std::size_t rr = 0; rr < shape.rows; ++rr) {
+          for (std::size_t k = 0; k < words; ++k) {
+            std::uint64_t want = 0;
+            for (std::size_t b = 0; b < 64 && 64 * k + b < shape.cols; ++b)
+              if (grid.read(rr, 64 * k + b)) want |= std::uint64_t{1} << b;
+            EXPECT_EQ(plane[rr * words + k], want)
+                << "row " << rr << ", word " << k;
+          }
+        }
       }
       // Each side's own crs_cell.* bookings: the oracle's cells book the
       // same counters, so the two deltas are taken apart.

@@ -8,6 +8,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/error.h"
 #include "common/rng.h"
 #include "device/presets.h"
 #include "isa/kernels.h"
@@ -123,13 +124,14 @@ TEST(CompiledAdd, MatchesNativeAdditionOnBothForms) {
   const auto program = cached_ripple_adder(kWidth);
   for (const bool optimized : {true, false}) {
     const PackedRunResult r = replay(*program, optimized, windows);
-    ASSERT_EQ(r.wide.size(), kOps);
+    ASSERT_EQ(r.outputs.size(), kOps);
     for (std::size_t i = 0; i < kOps; ++i) {
       // Sum bits LSB first, then the carry-out as bit kWidth.
-      ASSERT_EQ(r.wide[i].size(), kWidth + 1);
+      const std::vector<bool> wide = r.wide(i);
+      ASSERT_EQ(wide.size(), kWidth + 1);
       std::uint64_t sum = 0;
       for (std::size_t bit = 0; bit <= kWidth; ++bit)
-        if (r.wide[i][bit]) sum |= std::uint64_t{1} << bit;
+        if (wide[bit]) sum |= std::uint64_t{1} << bit;
       EXPECT_EQ(sum, a[i] + b[i])
           << (optimized ? "optimized" : "source") << " op " << i;
     }
@@ -198,7 +200,10 @@ TEST(CachedKernels, WideBooksReconcileForTheAdder) {
   const SimdWideResult slow =
       run_program_simd_wide(program->optimized, scalar, windows);
 
-  EXPECT_EQ(fast.wide, slow.outputs);
+  ASSERT_EQ(fast.outputs.size(), slow.outputs.size());
+  for (std::size_t w = 0; w < slow.outputs.size(); ++w)
+    EXPECT_EQ(fast.wide(w), slow.outputs[w]) << "window " << w;
+  EXPECT_THROW((void)fast.wide(slow.outputs.size()), Error);
   EXPECT_EQ(fast.writes, slow.writes);
   EXPECT_EQ(fast.latency.value(), slow.latency.value());
   EXPECT_EQ(fast.energy.value(), slow.energy.value());

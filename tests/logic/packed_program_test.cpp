@@ -1,7 +1,7 @@
 // Differential suite for the packed (bit-sliced) microcode executor:
 // run_program_packed must be bitwise-equivalent to run_program_simd on
 // the scalar cost-model backends — per-window outputs, latency, energy,
-// writes, per-window register-transition counts, and every fabric.* /
+// writes, the total of register-value changes, and every fabric.* /
 // program.* telemetry tally.
 #include "logic/packed.h"
 
@@ -227,14 +227,58 @@ TEST(PackedVsReference, RandomProgramsOutputsAndTransitions) {
     // 130 windows: two full lane blocks plus a partial one.
     const auto windows = random_windows(p.inputs, 130, rng);
     const PackedRunResult packed = run_program_packed(p, windows);
-    ASSERT_EQ(packed.transitions.size(), windows.size());
+    std::uint64_t transitions = 0;
     for (std::size_t w = 0; w < windows.size(); ++w) {
       const ReferenceRun ref = reference_replay(p, windows[w]);
       EXPECT_EQ(packed.outputs[w], ref.output) << "trial " << trial << " w" << w;
-      EXPECT_EQ(packed.transitions[w], ref.transitions)
-          << "trial " << trial << " w" << w;
+      transitions += ref.transitions;
+    }
+    EXPECT_EQ(packed.transitions, transitions) << "trial " << trial;
+  }
+}
+
+/// The flip total is kept in 4-bit per-lane counters folded every 15
+/// words.  Programs of lengths on both sides of a fold over 16
+/// registers, every lane-block shape, and a register toggled on every
+/// instruction of every lane must all reproduce the reference's total,
+/// and the logic.packed.transitions counter must book it.
+TEST(PackedVsReference, FlipTotalIsExactAcrossFoldBoundaries) {
+  TelemetryGuard guard;
+  telemetry::set_enabled(true);
+  telemetry::Counter& booked =
+      Registry::global().counter("logic.packed.transitions");
+  const auto check = [&](const CimProgram& p,
+                         const std::vector<std::vector<bool>>& windows,
+                         const std::string& what) {
+    std::uint64_t expected = 0;
+    for (const std::vector<bool>& w : windows)
+      expected += reference_replay(p, w).transitions;
+    const std::uint64_t before = booked.value();
+    const PackedRunResult packed = run_program_packed(p, windows);
+    EXPECT_EQ(packed.transitions, expected) << what;
+    EXPECT_EQ(booked.value() - before, packed.transitions) << what;
+  };
+
+  Rng rng(0xF01D);
+  for (const std::size_t length : {14u, 15u, 16u, 30u, 31u, 200u}) {
+    for (const std::size_t lanes : {1u, 63u, 64u, 65u, 130u}) {
+      const CimProgram p = random_program(3, 13, length, rng);
+      check(p, random_windows(p.inputs, lanes, rng),
+            "length " + std::to_string(length) + ", " +
+                std::to_string(lanes) + " lanes");
     }
   }
+
+  // One register flipped by all 32 instructions in all 64 lanes: 16
+  // flips in a row would wrap a 4-bit lane counter to zero.
+  CimProgram toggle;
+  toggle.registers = 1;
+  for (int i = 0; i < 32; ++i)
+    toggle.instructions.push_back(
+        {i % 2 == 0 ? CimOp::kSetTrue : CimOp::kSetFalse, 0, 0});
+  const std::vector<std::vector<bool>> lanes64(64);
+  check(toggle, lanes64, "toggle");
+  EXPECT_EQ(run_program_packed(toggle, lanes64).transitions, 32u * 64u);
 }
 
 TEST(PackedVsReference, BlockBoundaryWindowCounts) {

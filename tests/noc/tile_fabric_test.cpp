@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "common/error.h"
 #include "common/rng.h"
 #include "device/presets.h"
@@ -44,6 +46,11 @@ TEST(TileFabric, ComputeCyclesRoundsUp) {
   EXPECT_EQ(fabric.compute_cycles(Time(1e-9)), 1u);
   EXPECT_EQ(fabric.compute_cycles(Time(2.5e-9)), 3u);
   EXPECT_EQ(fabric.compute_cycles(Time(26.6e-9)), 27u);
+  // 10^19 cycles still fits a NocCycle; 10^39 and +inf do not.
+  EXPECT_EQ(fabric.compute_cycles(Time(1e10)), 10'000'000'000'000'000'000u);
+  EXPECT_THROW((void)fabric.compute_cycles(Time(1e30)), Error);
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  EXPECT_THROW((void)fabric.compute_cycles(Time(kInf)), Error);
 }
 
 TEST(TileFabric, BusyBooksFeedUtilization) {
