@@ -199,13 +199,8 @@ PackedRunResult run_program_packed(const PackedProgram& compiled,
     }
     transitions_total += flips;
   };
-  // Capturing one reference keeps the ChunkFn small enough to be stored
-  // without a heap allocation.
   const std::size_t grain = std::max<std::size_t>(1, options.block_grain);
-  parallel_for_chunks(0, blocks, grain,
-                      [&run_blocks](std::size_t b0, std::size_t b1) {
-                        run_blocks(b0, b1);
-                      });
+  parallel_for_chunks(0, blocks, grain, run_blocks);
   result.transitions = transitions_total;
   result.outputs.resize(windows);
   for (std::size_t w = 0; w < windows; ++w) {

@@ -37,6 +37,12 @@ MeshNoc::MeshNoc(std::size_t width, std::size_t height, const NocParams& params)
   MEMCIM_CHECK_MSG(width > 0 && height > 0, "mesh needs at least one router");
   MEMCIM_CHECK_MSG(params.flit_payload_bits >= 1 && params.buffer_flits >= 1,
                    "degenerate NoC parameters");
+  // The period converts cycles to time for trace spans and tile busy
+  // books, and time to cycles in TileFabric::compute_cycles.
+  MEMCIM_CHECK_MSG(std::isfinite(params.cycle.value()) &&
+                       params.cycle.value() > 0.0,
+                   "NoC cycle must be positive and finite, got "
+                       << params.cycle.value() << " s");
 }
 
 NocDir MeshNoc::route(std::size_t node, std::size_t dst) const {

@@ -4,7 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <vector>
+
+#include "common/error.h"
 
 namespace memcim {
 namespace {
@@ -223,6 +226,16 @@ TEST(MeshNoc, RunToCompletionIsReentrantWithMonotonicClock) {
   noc.run_to_completion();
   EXPECT_GT(noc.makespan(), first);
   EXPECT_TRUE(noc.deliveries()[1].done);
+}
+
+TEST(MeshNoc, RejectsACycleThatIsNotPositiveAndFinite) {
+  for (const double cycle :
+       {-1e-9, 0.0, std::numeric_limits<double>::quiet_NaN(),
+        std::numeric_limits<double>::infinity()}) {
+    NocParams p = small_params();
+    p.cycle = Time(cycle);
+    EXPECT_THROW(MeshNoc(2, 2, p), Error) << "cycle " << cycle << " s";
+  }
 }
 
 }  // namespace

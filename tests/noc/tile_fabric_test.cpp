@@ -38,6 +38,14 @@ TEST(TileFabric, GridConstruction) {
   TileFabricConfig bad = small_fabric();
   bad.host = 4;
   EXPECT_THROW(TileFabric{bad}, Error);
+  // The NoC period converts between compute time and cycles.
+  for (const double cycle :
+       {-1e-9, 0.0, std::numeric_limits<double>::quiet_NaN(),
+        std::numeric_limits<double>::infinity()}) {
+    bad = small_fabric();
+    bad.noc.cycle = Time(cycle);
+    EXPECT_THROW(TileFabric{bad}, Error) << "cycle " << cycle << " s";
+  }
 }
 
 TEST(TileFabric, ComputeCyclesRoundsUp) {
