@@ -12,9 +12,10 @@
 //  2. Packed adder farm — run_parallel_add on the compiled TC-adder
 //     fast path at MEMCIM_THREADS 1 and 4 (thread-pool scaling of the
 //     lane-block fan-out).
-//  3. DNA-flavoured CAM sweep — CrsCam search throughput with the
-//     bit-sliced match kernel vs the scalar row walk on a 2048-row,
-//     24-bit (k=12 bases) ternary table.
+//  3. DNA-flavoured CAM sweep — CrsCam's bit-sliced search vs the
+//     scalar row walk of the CellGridCam test oracle (one CrsCell per
+//     stored bit, tests/support/) on a 2048-row, 24-bit (k=12 bases)
+//     ternary table.
 #include <benchmark/benchmark.h>
 
 #include <chrono>
@@ -33,6 +34,7 @@
 #include "logic/ideal_fabric.h"
 #include "logic/packed.h"
 #include "logic/program.h"
+#include "support/cell_grid_cam.h"
 #include "telemetry/json_writer.h"
 #include "workloads/parallel_add.h"
 
@@ -166,10 +168,8 @@ CamSweepReport measure_cam_sweep() {
   config.rows = rep.rows;
   config.word_bits = rep.word_bits;
   config.cell = presets::crs_cell();
-  config.packed_match = true;
   CrsCam packed(config);
-  config.packed_match = false;
-  CrsCam scalar(config);
+  CellGridCam scalar(config);
 
   Rng fill(0xD9A);
   for (std::size_t row = 0; row < rep.rows; ++row) {
@@ -278,26 +278,34 @@ void BM_ScalarReplayAdd8(benchmark::State& state) {
 }
 BENCHMARK(BM_ScalarReplayAdd8);
 
+/// Arg 0: the CellGridCam oracle's scalar row walk; arg 1: CrsCam.
 void BM_CamSearch(benchmark::State& state) {
   CamConfig config;
   config.rows = 512;
   config.word_bits = 24;
   config.cell = presets::crs_cell();
-  config.packed_match = state.range(0) != 0;
-  CrsCam cam(config);
-  Rng rng(0xCA4);
-  for (std::size_t row = 0; row < config.rows; ++row) {
-    std::vector<bool> word(config.word_bits);
+  const auto run = [&](auto& cam) {
+    Rng rng(0xCA4);
+    for (std::size_t row = 0; row < config.rows; ++row) {
+      std::vector<bool> word(config.word_bits);
+      for (std::size_t i = 0; i < config.word_bits; ++i)
+        word[i] = rng.bernoulli(0.5);
+      cam.write_row(row, word);
+    }
+    std::vector<bool> key(config.word_bits);
     for (std::size_t i = 0; i < config.word_bits; ++i)
-      word[i] = rng.bernoulli(0.5);
-    cam.write_row(row, word);
-  }
-  std::vector<bool> key(config.word_bits);
-  for (std::size_t i = 0; i < config.word_bits; ++i)
-    key[i] = rng.bernoulli(0.5);
-  for (auto _ : state) {
-    const CamSearchResult r = cam.search(key);
-    benchmark::DoNotOptimize(r.matching_rows.data());
+      key[i] = rng.bernoulli(0.5);
+    for (auto _ : state) {
+      const CamSearchResult r = cam.search(key);
+      benchmark::DoNotOptimize(r.matching_rows.data());
+    }
+  };
+  if (state.range(0) == 0) {
+    CellGridCam cam(config);
+    run(cam);
+  } else {
+    CrsCam cam(config);
+    run(cam);
   }
 }
 BENCHMARK(BM_CamSearch)->Arg(0)->Arg(1);

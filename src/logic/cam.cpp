@@ -32,41 +32,24 @@ CrsCam::CrsCam(const CamConfig& config)
   MEMCIM_CHECK_MSG(config_.rows > 0 && config_.word_bits > 0,
                    "CAM dimensions must be positive");
   MEMCIM_CHECK(config_.search_pulses >= 1);
-  rows_.resize(config_.rows);
-  for (Row& row : rows_) {
-    row.value.assign(config_.word_bits, CrsCell(config_.cell));
-    row.mask.assign(config_.word_bits, CrsCell(config_.cell));
-  }
-  const std::size_t blocks = (config_.rows + kPackedLanes - 1) / kPackedLanes;
+  // The cell count (the fault sites apply_fault_plan addresses) bounds
+  // the plane size, ceil(rows / 64) · word_bits words.
+  MEMCIM_CHECK_MSG(
+      config_.word_bits <= packed_value_.max_size() / config_.rows,
+      "a " << config_.rows << " x " << config_.word_bits
+           << " CAM has more cells than its planes can hold");
+  check_crs_cell_params(config_.cell);
+  const std::size_t blocks = config_.rows / kPackedLanes +
+                             (config_.rows % kPackedLanes != 0 ? 1 : 0);
   packed_value_.assign(blocks * config_.word_bits, 0);
   packed_care_.assign(blocks * config_.word_bits, 0);
+  packed_stuck_.assign(blocks * config_.word_bits, 0);
   packed_valid_.assign(blocks, 0);
 }
 
-CrsCam::Row& CrsCam::at(std::size_t row) {
-  MEMCIM_CHECK_MSG(row < rows_.size(), "CAM row out of range");
-  return rows_[row];
-}
-
-void CrsCam::refresh_packed_row(std::size_t row) {
-  const Row& r = rows_[row];
-  const std::size_t block = row / kPackedLanes;
-  const std::uint64_t bit = std::uint64_t{1} << (row % kPackedLanes);
-  for (std::size_t i = 0; i < config_.word_bits; ++i) {
-    const std::size_t w = block * config_.word_bits + i;
-    if (r.value[i].state() == CrsState::kOne)
-      packed_value_[w] |= bit;
-    else
-      packed_value_[w] &= ~bit;
-    if (r.mask[i].state() == CrsState::kOne)
-      packed_care_[w] |= bit;
-    else
-      packed_care_[w] &= ~bit;
-  }
-  if (r.valid)
-    packed_valid_[block] |= bit;
-  else
-    packed_valid_[block] &= ~bit;
+CrsCam::Slot CrsCam::slot(std::size_t row) const {
+  MEMCIM_CHECK_MSG(row < config_.rows, "CAM row out of range");
+  return {row / kPackedLanes, std::uint64_t{1} << (row % kPackedLanes)};
 }
 
 void CrsCam::write_row(std::size_t row, const std::vector<bool>& word) {
@@ -80,68 +63,69 @@ void CrsCam::write_row_ternary(std::size_t row,
                                const std::vector<CamBit>& word) {
   MEMCIM_CHECK_MSG(word.size() == config_.word_bits,
                    "CAM word width mismatch");
-  Row& r = at(row);
+  const Slot s = slot(row);
+  const std::size_t base = s.block * config_.word_bits;
+  std::uint64_t transitions = 0;
+  std::uint64_t absorbed = 0;
   for (std::size_t i = 0; i < word.size(); ++i) {
-    r.value[i].write(word[i] == CamBit::kOne);
-    r.mask[i].write(word[i] != CamBit::kDontCare);
+    std::uint64_t& value = packed_value_[base + i];
+    std::uint64_t& care = packed_care_[base + i];
+    if (((value & s.bit) != 0) != (word[i] == CamBit::kOne)) {
+      if ((packed_stuck_[base + i] & s.bit) != 0) {
+        ++absorbed;  // the pinned cell keeps its value
+      } else {
+        value ^= s.bit;
+        ++transitions;
+      }
+    }
+    if (((care & s.bit) != 0) != (word[i] != CamBit::kDontCare)) {
+      care ^= s.bit;
+      ++transitions;
+    }
   }
-  r.valid = true;
-  refresh_packed_row(row);
+  packed_valid_[s.block] |= s.bit;
+  detail::book_crs_cell_events(config_.cell, 2 * std::uint64_t{word.size()},
+                               transitions, absorbed);
 }
 
 void CrsCam::erase_row(std::size_t row) {
-  at(row).valid = false;
-  refresh_packed_row(row);
+  const Slot s = slot(row);
+  packed_valid_[s.block] &= ~s.bit;
 }
 
 std::vector<CamBit> CrsCam::read_row(std::size_t row) const {
-  MEMCIM_CHECK(row < rows_.size());
-  const Row& r = rows_[row];
-  MEMCIM_CHECK_MSG(r.valid, "reading an erased CAM row");
+  const Slot s = slot(row);
+  MEMCIM_CHECK_MSG((packed_valid_[s.block] & s.bit) != 0,
+                   "reading an erased CAM row");
+  const std::size_t base = s.block * config_.word_bits;
   std::vector<CamBit> word(config_.word_bits);
   for (std::size_t i = 0; i < word.size(); ++i) {
-    if (r.mask[i].state() != CrsState::kOne)
+    if ((packed_care_[base + i] & s.bit) == 0)
       word[i] = CamBit::kDontCare;
     else
-      word[i] = r.value[i].state() == CrsState::kOne ? CamBit::kOne
-                                                     : CamBit::kZero;
+      word[i] = (packed_value_[base + i] & s.bit) != 0 ? CamBit::kOne
+                                                       : CamBit::kZero;
   }
   return word;
 }
 
-void CrsCam::search_scalar(const std::vector<bool>& key,
-                           CamSearchResult& result) {
-  // Energy: each participating (non-masked) cell of every valid row
-  // burns one comparison quantum on the match line; mismatching cells
-  // additionally discharge it (we charge the cell switching energy as
-  // the per-mismatch discharge cost — the dominant dynamic term in
-  // published memristive CAM designs).
-  Energy energy{0.0};
-  for (std::size_t ri = 0; ri < rows_.size(); ++ri) {
-    const Row& row = rows_[ri];
-    if (!row.valid) continue;
-    bool match = true;
-    for (std::size_t i = 0; i < key.size(); ++i) {
-      if (row.mask[i].state() != CrsState::kOne) continue;  // don't-care
-      const bool stored = row.value[i].state() == CrsState::kOne;
-      if (stored != key[i]) {
-        match = false;
-        energy += config_.cell.e_per_switch;  // match-line discharge path
-      }
-    }
-    if (match) result.matching_rows.push_back(ri);
-  }
-  result.energy = energy;
-}
+CamSearchResult CrsCam::search(const std::vector<bool>& key) {
+  MEMCIM_CHECK_MSG(key.size() == config_.word_bits, "CAM key width mismatch");
+  CamSearchResult result;
+  ++searches_;
 
-void CrsCam::search_packed(const std::vector<bool>& key,
-                           CamSearchResult& result) {
-  // Same semantics and energy book as search_scalar, evaluated 64 rows
-  // per word: a row mismatches at bit i iff it is valid, bit i
-  // participates, and the stored bit differs from the key bit.  The
-  // scalar path accrues one energy quantum per mismatching cell into a
-  // single accumulator, so the exact double is the repeated-quantum
-  // prefix sum at the total mismatch count.
+  // Match-line evaluation: all rows in parallel, so latency is the
+  // fixed precharge+evaluate pulse sequence.
+  result.latency =
+      config_.cell.t_pulse * static_cast<double>(config_.search_pulses);
+
+  // Evaluated 64 rows per word: a row mismatches at bit i iff it is
+  // valid, bit i participates, and the stored bit differs from the key
+  // bit.  Each mismatching cell discharges the match line, charged at
+  // the cell switching energy (the dominant dynamic term in published
+  // memristive CAM designs) into one accumulator, cell by cell, so the
+  // exact double is the repeated-quantum prefix sum at the mismatch
+  // count.
   const std::size_t blocks = packed_valid_.size();
   std::uint64_t mismatch_total = 0;
   for (std::size_t b = 0; b < blocks; ++b) {
@@ -170,31 +154,17 @@ void CrsCam::search_packed(const std::vector<bool>& key,
     m.searches.add(1);
     m.row_blocks.add(blocks);
   }
-}
-
-CamSearchResult CrsCam::search(const std::vector<bool>& key) {
-  MEMCIM_CHECK_MSG(key.size() == config_.word_bits, "CAM key width mismatch");
-  CamSearchResult result;
-  ++searches_;
-
-  // Match-line evaluation: all rows in parallel, so latency is the
-  // fixed precharge+evaluate pulse sequence.
-  result.latency =
-      config_.cell.t_pulse * static_cast<double>(config_.search_pulses);
-
-  if (config_.packed_match)
-    search_packed(key, result);
-  else
-    search_scalar(key, result);
   total_energy_ += result.energy;
   return result;
 }
 
 void CrsCam::inject_stuck(std::size_t row, std::size_t bit, bool stuck_one) {
   MEMCIM_CHECK_MSG(bit < config_.word_bits, "CAM bit out of range");
-  at(row).value[bit].force_stuck(stuck_one ? CrsState::kOne
-                                           : CrsState::kZero);
-  refresh_packed_row(row);
+  const Slot s = slot(row);
+  const std::size_t w = s.block * config_.word_bits + bit;
+  packed_stuck_[w] |= s.bit;
+  packed_value_[w] =
+      stuck_one ? (packed_value_[w] | s.bit) : (packed_value_[w] & ~s.bit);
 }
 
 std::optional<std::size_t> CrsCam::search_first(const std::vector<bool>& key) {

@@ -9,6 +9,25 @@
 // cycle; we model that as: match-phase latency = one search pulse
 // sequence regardless of the row count, energy = per-cell comparison
 // energy summed over all cells that participate.
+//
+// The array is stored bit-sliced, the layout the match lines evaluate:
+// for row block b (64 rows) and bit column i, one u64 per plane holds
+// that column's bit of each row — the value plane (the value cell holds
+// '1'), the care plane (the mask cell holds '1', so the bit
+// participates), and the stuck plane (the value cell is pinned).  One
+// valid word per block gates erased rows.  The CAM only ever writes its
+// cells (a search senses the match lines, never a cell read pulse), so
+// a cell rests in '0' or '1' and every full-amplitude write pulse
+// switches a free cell outright.  A row write is therefore booked once
+// in closed form, with exactly the crs_cell.* totals the behavioural
+// cell model (src/device/crs.h) books pulse by pulse for one cell per
+// value bit and one per mask bit:
+//
+//   2 · word_bits pulses (one per value cell, one per mask cell)
+//   1 transition per free value cell and per mask cell that changes
+//   1 stuck_absorbed per stuck value cell the word would change
+//
+// tests/logic/packed_cam_test.cpp holds the CAM to a grid of such cells.
 #pragma once
 
 #include <cstdint>
@@ -33,11 +52,6 @@ struct CamConfig {
   CrsCellParams cell{};
   /// Match-line evaluation: precharge + evaluate, two array pulses.
   std::size_t search_pulses = 2;
-  /// Evaluate searches on the bit-sliced match index (rows packed 64
-  /// per u64 word with ternary don't-care masks) instead of walking
-  /// the cell file row by row.  Bitwise-identical results and energy
-  /// book; the scalar path remains for differential testing.
-  bool packed_match = true;
 };
 
 struct CamSearchResult {
@@ -48,6 +62,11 @@ struct CamSearchResult {
 
 class CrsCam {
  public:
+  /// Throws Error, before allocating, unless both dimensions and
+  /// search_pulses are positive, the cell count rows · word_bits is
+  /// within a plane vector's max_size() (so neither it nor the plane
+  /// size overflows a size_t), and the cell parameters pass
+  /// check_crs_cell_params.
   explicit CrsCam(const CamConfig& config);
 
   [[nodiscard]] const CamConfig& config() const { return config_; }
@@ -56,7 +75,8 @@ class CrsCam {
   void write_row(std::size_t row, const std::vector<bool>& word);
   /// Program a row with a ternary word (don't-cares allowed).
   void write_row_ternary(std::size_t row, const std::vector<CamBit>& word);
-  /// Invalidate a row: it matches nothing until rewritten.
+  /// Invalidate a row: it matches nothing until rewritten.  Its cells
+  /// keep their states, so a rewrite books against them.
   void erase_row(std::size_t row);
 
   [[nodiscard]] std::vector<CamBit> read_row(std::size_t row) const;
@@ -70,7 +90,8 @@ class CrsCam {
       const std::vector<bool>& key);
 
   /// Fault injection: pin the value cell at (row, bit) stuck at logic
-  /// `stuck_one`; later rewrites of the row cannot move it, so searches
+  /// `stuck_one`, with no pulse and no book, as force_stuck does to a
+  /// device cell; later rewrites of the row cannot move it, so searches
   /// run against the corrupted stored word.
   void inject_stuck(std::size_t row, std::size_t bit, bool stuck_one);
 
@@ -79,32 +100,23 @@ class CrsCam {
   [[nodiscard]] Energy total_energy() const { return total_energy_; }
 
  private:
-  struct Row {
-    std::vector<CrsCell> value;  ///< stored bit (CRS '1' = 1)
-    std::vector<CrsCell> mask;   ///< CRS '1' = bit participates in match
-    bool valid = false;
+  /// Where a row lives: its 64-row block, and its bit in each of that
+  /// block's words.
+  struct Slot {
+    std::size_t block;
+    std::uint64_t bit;
   };
-
-  [[nodiscard]] Row& at(std::size_t row);
-
-  /// Rebuild the packed match words of one row from the actual cell
-  /// states (so stuck cells are reflected, not the requested write).
-  void refresh_packed_row(std::size_t row);
-  void search_scalar(const std::vector<bool>& key, CamSearchResult& result);
-  void search_packed(const std::vector<bool>& key, CamSearchResult& result);
+  [[nodiscard]] Slot slot(std::size_t row) const;
 
   CamConfig config_;
-  std::vector<Row> rows_;
   std::uint64_t searches_ = 0;
   Energy total_energy_{0.0};
-  // Bit-sliced match index: for row block b and bit column i, word
-  // [b * word_bits + i] holds one bit per row — value word (stored bit
-  // is '1') and care word (bit participates; '0' = don't-care).  One
-  // valid word per block gates erased rows.
+  // Word [b * word_bits + i] holds bit column i of row block b.
   std::vector<std::uint64_t> packed_value_;
   std::vector<std::uint64_t> packed_care_;
-  std::vector<std::uint64_t> packed_valid_;
-  /// Exact replay of the scalar per-mismatch energy accumulation.
+  std::vector<std::uint64_t> packed_stuck_;
+  std::vector<std::uint64_t> packed_valid_;  ///< one word per row block
+  /// Exact replay of the per-mismatch energy accumulation.
   QuantumSumTable energy_sums_;
 };
 

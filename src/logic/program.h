@@ -184,17 +184,4 @@ struct SimdRunResult {
     const CimProgram& program, Fabric& fabric,
     const std::vector<std::vector<bool>>& input_sets);
 
-struct SimdWideResult {
-  std::vector<std::vector<bool>> outputs;  ///< [window][result register]
-  Time latency{0.0};                       ///< one program pass
-  Energy energy{0.0};                      ///< summed over all windows
-  std::uint64_t writes = 0;
-};
-
-/// Multi-output analogue of `run_program_simd`: every window reads all
-/// result registers (one fabric.read per result per window).
-[[nodiscard]] SimdWideResult run_program_simd_wide(
-    const CimProgram& program, Fabric& fabric,
-    const std::vector<std::vector<bool>>& input_sets);
-
 }  // namespace memcim

@@ -149,27 +149,6 @@ ShardedAddResult sharded_parallel_add(TileFabric& fabric,
   return out;
 }
 
-ShardedAddResult replay_parallel_add_plan(const ShardPlan& plan,
-                                          const ParallelAddParams& params,
-                                          const CrsCellParams& cell,
-                                          const std::vector<std::uint64_t>& op_a,
-                                          const std::vector<std::uint64_t>& op_b) {
-  MEMCIM_CHECK(op_a.size() == plan.items && op_b.size() == plan.items);
-  std::vector<ParallelAddResult> per_shard(plan.shards.size());
-  for (const Shard& s : plan.shards) {
-    if (s.empty()) continue;
-    per_shard[s.tile] = run_add_shard(s, params, cell, op_a, op_b);
-  }
-  ShardedAddResult out;
-  out.plan = plan;
-  out.merged = merge_add_shards(plan, per_shard);
-  out.shard_transitions.assign(plan.shards.size(), 0);
-  for (std::size_t t = 0; t < per_shard.size(); ++t)
-    out.shard_transitions[t] = per_shard[t].transitions;
-  out.run.compute_energy = out.merged.total_energy;
-  return out;
-}
-
 std::vector<bool> encode_kmer(const std::string& text, std::size_t pos,
                               std::size_t k) {
   MEMCIM_CHECK_MSG(pos + k <= text.size(), "k-mer window past end of text");

@@ -71,14 +71,6 @@ struct ShardedAddResult {
     TileFabric& fabric, const ParallelAddParams& params,
     const CrsCellParams& cell, Rng& rng);
 
-/// Serial golden reference: execute the identical shard plan one shard
-/// at a time on freshly built farms and merge with the same fold.
-/// sharded_parallel_add must match it bitwise in every book.
-[[nodiscard]] ShardedAddResult replay_parallel_add_plan(
-    const ShardPlan& plan, const ParallelAddParams& params,
-    const CrsCellParams& cell, const std::vector<std::uint64_t>& op_a,
-    const std::vector<std::uint64_t>& op_b);
-
 // -- workload 1: DNA k-mer database search (Section III.B.1) ------------------
 
 /// 2-bit-per-base encoding of `text[pos, pos+k)` (A=00, C=01, G=10,

@@ -97,17 +97,20 @@ std::size_t process_threads() {
 }
 
 // ctest runs each case in a fresh process, where the pool has not
-// started yet; asking its size must not start it.
+// started yet; asking its size must not start it.  Repeated in one
+// process, a thread of a pool an earlier case joined can still be
+// listed when `before` is read and be gone later, so the count may
+// fall but never rise.
 TEST(Parallel, ReportingThePoolSizeStartsNoThreads) {
   if (!std::filesystem::exists("/proc/self/task"))
     GTEST_SKIP() << "needs /proc/self/task";
   const std::size_t before = process_threads();
   const std::size_t reported = parallel_threads();
   EXPECT_GE(reported, 1u);
-  EXPECT_EQ(process_threads(), before);
+  EXPECT_LE(process_threads(), before);
   // A region below 2·grain runs inline without starting the pool.
   parallel_for(0, 1, 1, [](std::size_t) {});
-  EXPECT_EQ(process_threads(), before);
+  EXPECT_LE(process_threads(), before);
   // The size reported is the size of the pool the first region starts.
   parallel_for(0, 2, 1, [](std::size_t) {});
   EXPECT_EQ(parallel_threads(), reported);

@@ -15,6 +15,7 @@
 #include "logic/cam.h"
 #include "logic/ideal_fabric.h"
 #include "logic/packed.h"
+#include "support/simd_wide.h"
 
 namespace memcim::isa {
 namespace {

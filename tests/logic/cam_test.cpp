@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstddef>
+#include <limits>
+
 #include "common/error.h"
 #include "device/presets.h"
 
@@ -96,6 +99,24 @@ TEST(Cam, Validation) {
   EXPECT_THROW((void)cam.search(bits_of(0, 4)), Error);
   CamConfig bad;
   bad.rows = 0;
+  EXPECT_THROW(CrsCam{bad}, Error);
+  bad = small_cam();
+  bad.word_bits = 0;
+  EXPECT_THROW(CrsCam{bad}, Error);
+  bad = small_cam();
+  bad.search_pulses = 0;
+  EXPECT_THROW(CrsCam{bad}, Error);
+  bad = small_cam();
+  bad.cell.v_read = bad.cell.v_th2 * 1.5;  // must lie in (v_th1, v_th2)
+  EXPECT_THROW(CrsCam{bad}, Error);
+  // Shapes whose cell count overflows a size_t throw before anything is
+  // allocated.
+  bad = small_cam();
+  bad.rows = std::size_t{1} << 40;
+  bad.word_bits = std::size_t{1} << 30;
+  EXPECT_THROW(CrsCam{bad}, Error);
+  bad.rows = std::numeric_limits<std::size_t>::max();
+  bad.word_bits = 2;
   EXPECT_THROW(CrsCam{bad}, Error);
 }
 

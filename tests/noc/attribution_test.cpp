@@ -17,6 +17,7 @@
 #include "common/rng.h"
 #include "device/presets.h"
 #include "serving/dispatcher.h"
+#include "support/sharded_golden.h"
 #include "workloads/dna.h"
 #include "workloads/sharded.h"
 
