@@ -16,7 +16,7 @@
 #include "device/presets.h"
 #include "logic/adder.h"
 #include "logic/ideal_fabric.h"
-#include "logic/tc_adder.h"
+#include "logic/packed_adder.h"
 
 namespace {
 
@@ -29,12 +29,12 @@ void print_comparison(telemetry::JsonWriter& w) {
   for (std::size_t n : {4u, 8u, 16u, 32u, 64u}) {
     const std::size_t imply_steps = ripple_adder_steps(n);
     const std::size_t imply_regs = cost_full_adder().registers * n + 1;
-    const std::size_t tc_steps = CrsTcAdder::steps(n);
+    const std::size_t tc_steps = PackedTcAdderFarm::steps(n);
     const double tc_latency = static_cast<double>(tc_steps) * 200e-12;
     const double imply_latency = static_cast<double>(imply_steps) * 200e-12;
     t.add_row({std::to_string(n), std::to_string(imply_steps),
                std::to_string(imply_regs), std::to_string(tc_steps),
-               std::to_string(CrsTcAdder::devices(n)),
+               std::to_string(PackedTcAdderFarm::devices(n)),
                si_string(tc_latency, "s"), si_string(imply_latency, "s"),
                fixed_string(imply_latency / tc_latency, 2) + "x"});
     w.begin_object();
@@ -42,7 +42,7 @@ void print_comparison(telemetry::JsonWriter& w) {
     w.key("imply_steps").value(static_cast<std::uint64_t>(imply_steps));
     w.key("imply_registers").value(static_cast<std::uint64_t>(imply_regs));
     w.key("tc_steps").value(static_cast<std::uint64_t>(tc_steps));
-    w.key("tc_devices").value(static_cast<std::uint64_t>(CrsTcAdder::devices(n)));
+    w.key("tc_devices").value(static_cast<std::uint64_t>(PackedTcAdderFarm::devices(n)));
     w.key("tc_latency_s").value(tc_latency);
     w.key("imply_latency_s").value(imply_latency);
     w.end_object();
@@ -60,7 +60,7 @@ void print_energy_measured(telemetry::JsonWriter& w) {
   Rng rng(5);
   w.key("measured_energy").begin_array();
   for (std::size_t n : {8u, 16u, 32u}) {
-    CrsTcAdder adder(n, presets::crs_cell());
+    PackedTcAdderFarm adder(1, n, presets::crs_cell());
     Energy total{0.0};
     const int trials = 50;
     for (int i = 0; i < trials; ++i) {
@@ -68,7 +68,7 @@ void print_energy_measured(telemetry::JsonWriter& w) {
           rng.uniform_int(0, (1LL << n) - 1));
       const auto b = static_cast<std::uint64_t>(
           rng.uniform_int(0, (1LL << n) - 1));
-      total += adder.add(a, b).energy;
+      total += Energy(adder.run({a}, {b}).energies.front());
     }
     t.add_row({std::to_string(n),
                si_string(total.value() / trials, "J"),
@@ -96,9 +96,11 @@ BENCHMARK(BM_ImplyRippleAdd)->Arg(8)->Arg(32);
 
 void BM_TcAdd(benchmark::State& state) {
   const auto width = static_cast<std::size_t>(state.range(0));
-  CrsTcAdder adder(width, memcim::presets::crs_cell());
+  PackedTcAdderFarm adder(1, width, memcim::presets::crs_cell());
+  const std::uint64_t mask = (std::uint64_t{1} << width) - 1;
+  const std::vector<std::uint64_t> a{12345 & mask}, b{54321 & mask};
   for (auto _ : state) {
-    benchmark::DoNotOptimize(adder.add(12345, 54321));
+    benchmark::DoNotOptimize(adder.run(a, b));
   }
 }
 BENCHMARK(BM_TcAdd)->Arg(8)->Arg(32);

@@ -10,7 +10,7 @@
 #include "arch/cost_model.h"
 #include "common/table.h"
 #include "device/presets.h"
-#include "logic/tc_adder.h"
+#include "logic/packed_adder.h"
 #include "workloads/parallel_add.h"
 
 int main() {
@@ -31,18 +31,19 @@ int main() {
                                                           : "MISMATCHES!"});
   farm.add_row({"pulses per addition",
                 std::to_string(r.total_pulses / params.operations) +
-                    "  (4N+5 = " + std::to_string(CrsTcAdder::steps(32)) + ")"});
+                    "  (4N+5 = " + std::to_string(PackedTcAdderFarm::steps(32)) + ")"});
   farm.add_row({"devices per adder",
-                std::to_string(CrsTcAdder::devices(32)) + "  (N+2)"});
+                std::to_string(PackedTcAdderFarm::devices(32)) + "  (N+2)"});
   farm.add_row({"wall latency (batched)", si_string(r.latency.value(), "s")});
   farm.add_row({"switching energy", si_string(r.total_energy.value(), "J")});
   std::cout << farm.to_text() << '\n';
 
   // --- sample: results stay resident in the crossbar -------------------------
-  CrsTcAdder adder(32, presets::crs_cell());
-  (void)adder.add(0xCAFE, 0xBEEF);
+  PackedTcAdderFarm adder(1, 32, presets::crs_cell());
+  (void)adder.run({0xCAFE}, {0xBEEF});
   std::cout << "0xCAFE + 0xBEEF latched in the sum cells: 0x" << std::hex
-            << adder.stored_sum() << std::dec << "  (no readout pulses spent)\n\n";
+            << adder.stored_sum(0) << std::dec
+            << "  (no readout pulses spent)\n\n";
 
   // --- architecture verdict at paper scale (10^6 additions) ------------------
   const Table1 t1 = paper_table1();

@@ -9,7 +9,7 @@
 #include "common/error.h"
 #include "isa/kernels.h"
 #include "logic/packed.h"
-#include "logic/tc_adder.h"
+#include "logic/packed_adder.h"
 #include "telemetry/telemetry.h"
 
 namespace memcim {
@@ -191,20 +191,24 @@ void CimTile::parallel_add(std::size_t row_a, std::size_t row_b,
   const std::vector<bool> a = memory_.read_word(row_a);
   const std::vector<bool> b = memory_.read_word(row_b);
 
+  // One fresh adder per lane, all lanes in parallel.
+  PackedTcAdderFarm farm(lanes, lane_bits, config_.cell);
+  std::vector<std::uint64_t> a_lanes(lanes), b_lanes(lanes);
+  for (std::size_t lane = 0; lane < lanes; ++lane) {
+    a_lanes[lane] = lane_value(a, lane, lane_bits);
+    b_lanes[lane] = lane_value(b, lane, lane_bits);
+  }
+  const PackedAddOutcome r = farm.run(a_lanes, b_lanes);
+
   std::vector<bool> dst(config_.row_bits, false);
-  Time worst_lane_latency{0.0};
   Energy total_energy{0.0};
   for (std::size_t lane = 0; lane < lanes; ++lane) {
-    CrsTcAdder adder(lane_bits, config_.cell);
-    const TcAdderResult r =
-        adder.add(lane_value(a, lane, lane_bits), lane_value(b, lane, lane_bits));
     for (std::size_t i = 0; i < lane_bits; ++i)
-      dst[lane * lane_bits + i] = (r.sum >> i) & 1u;
-    worst_lane_latency = std::max(worst_lane_latency, r.latency);
-    total_energy += r.energy;
+      dst[lane * lane_bits + i] = (r.sums[lane] >> i) & 1u;
+    total_energy += Energy(r.energies[lane]);
   }
   memory_.write_word(row_dst, dst);
-  stats_.latency += worst_lane_latency;
+  stats_.latency += farm.add_latency();
   stats_.energy += total_energy;
   stats_.operations += lanes;
 }

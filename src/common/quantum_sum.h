@@ -13,8 +13,8 @@
 //
 // so a packed kernel can convert an exact transition count into the
 // exact double the scalar accumulator would hold.  The table grows
-// lazily and is NOT thread-safe: confine one instance per owner (the
-// packed paths only query it from their serial reduction).
+// lazily and is NOT thread-safe: confine each instance to one thread at
+// a time (the TC-adder farm keeps one per lane block for that reason).
 #pragma once
 
 #include <cstddef>
@@ -31,14 +31,20 @@ class QuantumSumTable {
   [[nodiscard]] double quantum() const { return quantum_; }
 
   /// The value a double accumulator holds after `count` additions of
-  /// the quantum, bit-for-bit.
+  /// the quantum, bit-for-bit.  Kept to a bounds test and a load so it
+  /// inlines into the packed engines' per-cell loops.
   [[nodiscard]] double sum(std::size_t count) {
-    while (partial_.size() <= count)
-      partial_.push_back(partial_.back() + quantum_);
+    if (count >= partial_.size()) [[unlikely]]
+      grow(count);
     return partial_[count];
   }
 
  private:
+  [[gnu::noinline]] void grow(std::size_t count) {
+    while (partial_.size() <= count)
+      partial_.push_back(partial_.back() + quantum_);
+  }
+
   double quantum_;
   std::vector<double> partial_;
 };

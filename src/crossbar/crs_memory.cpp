@@ -35,9 +35,9 @@ CrsMemory::CrsMemory(std::size_t rows, std::size_t cols,
       words_per_row_(cols / kWordBits + (cols % kWordBits != 0 ? 1 : 0)),
       params_(cell_params) {
   MEMCIM_CHECK_MSG(rows > 0 && cols > 0, "memory dimensions must be positive");
-  MEMCIM_CHECK_MSG(cols <= transitions_.max_size() / rows,
+  MEMCIM_CHECK_MSG(cols <= kMaxCrsCells / rows,
                    "a " << rows << " x " << cols
-                        << " memory has more cells than one bank can hold");
+                        << " memory has more than kMaxCrsCells cells");
   check_crs_cell_params(params_);
   value_.assign(rows * words_per_row_, 0);
   stuck_.assign(rows * words_per_row_, 0);

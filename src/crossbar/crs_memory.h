@@ -37,8 +37,9 @@ namespace memcim {
 
 class CrsMemory {
  public:
-  /// Throws Error unless both dimensions are positive and the cell
-  /// count fits the bank's per-cell books.
+  /// Throws Error, before allocating, unless both dimensions are
+  /// positive, rows · cols is at most kMaxCrsCells and the cell
+  /// parameters pass check_crs_cell_params.
   CrsMemory(std::size_t rows, std::size_t cols,
             const CrsCellParams& cell_params);
 

@@ -173,6 +173,18 @@ std::vector<IvPoint> sweep_iv(CrsDevice& crs, Voltage v_max,
 // ---------------------------------------------------------------------------
 
 void check_crs_cell_params(const CrsCellParams& params) {
+  MEMCIM_CHECK_MSG(std::isfinite(params.v_th1.value()) &&
+                       std::isfinite(params.v_th2.value()) &&
+                       std::isfinite(params.v_th3.value()) &&
+                       std::isfinite(params.v_th4.value()) &&
+                       std::isfinite(params.v_read.value()),
+                   "CRS thresholds and v_read must be finite");
+  for (const double positive : {params.t_pulse.value(),
+                                params.e_per_switch.value(),
+                                params.r_lrs.value()})
+    MEMCIM_CHECK_MSG(std::isfinite(positive) && positive > 0.0,
+                     "t_pulse, e_per_switch and r_lrs must be finite and "
+                     "positive");
   MEMCIM_CHECK_MSG(params.v_th1.value() > 0.0 &&
                        params.v_th2.value() > params.v_th1.value(),
                    "require 0 < v_th1 < v_th2");

@@ -106,9 +106,20 @@ struct CrsCellParams {
   Resistance r_lrs{10e3};       ///< single-device LRS for ON-current estimate
 };
 
-/// Throws Error unless 0 < v_th1 < v_read < v_th2 and v_th4 < v_th3 < 0:
-/// the threshold ladder every CRS model here relies on.
+/// Throws Error unless 0 < v_th1 < v_read < v_th2 and v_th4 < v_th3 < 0
+/// (the threshold ladder every CRS model here relies on), every
+/// threshold and v_read is finite, and t_pulse, e_per_switch and r_lrs
+/// are finite and positive.
 void check_crs_cell_params(const CrsCellParams& params);
+
+/// Ceiling on the CRS cells one structure (a CrsMemory bank, a CrsCam,
+/// a TC-adder farm) may hold, checked before it allocates.  Each keeps
+/// at least 3 bits of state per cell and CrsMemory 8 bytes (its
+/// per-cell transition book), so 2^32 cells already asks for 1.5 to
+/// 32 GiB, far past any array the paper sizes or a host here holds.  A
+/// larger shape is a configuration error: the ceiling turns it into
+/// memcim::Error instead of std::bad_alloc.
+inline constexpr std::uint64_t kMaxCrsCells = std::uint64_t{1} << 32;
 
 namespace detail {
 /// Book CRS cell events on the crs_cell.* counters (nothing while

@@ -88,15 +88,11 @@ CrossbarFaultSummary apply_fault_plan(CrsCam& cam, const FaultPlan& plan) {
       [](std::size_t, double) {});
 }
 
-CrossbarFaultSummary apply_fault_plan(std::vector<CrsTcAdder>& farm,
+CrossbarFaultSummary apply_fault_plan(PackedTcAdderFarm& farm,
                                       const FaultPlan& plan) {
-  if (farm.empty()) return {};
-  const std::size_t per_adder = farm.front().fault_sites();
   return walk(
-      plan, farm.size() * per_adder,
-      [&](std::size_t site, bool lrs) {
-        farm[site / per_adder].inject_stuck(site % per_adder, lrs);
-      },
+      plan, farm.fault_sites(),
+      [&](std::size_t site, bool lrs) { farm.inject_stuck(site, lrs); },
       [](std::size_t, double) {});
 }
 

@@ -5,7 +5,7 @@
 //
 // Site numbering is row-major everywhere: site = r * cols + c for
 // arrays and memories, site = row * word_bits + bit for CAMs, and
-// site = adder * fault_sites() + cell for adder farms.
+// site = slot * (width + 2) + cell for adder farms.
 #pragma once
 
 #include <cstddef>
@@ -16,7 +16,7 @@
 #include "crossbar/ecc_memory.h"
 #include "fault/fault_model.h"
 #include "logic/cam.h"
-#include "logic/tc_adder.h"
+#include "logic/packed_adder.h"
 
 namespace memcim {
 
@@ -48,8 +48,8 @@ CrossbarFaultSummary apply_fault_plan(EccCrsMemory& memory,
 CrossbarFaultSummary apply_fault_plan(CrsCam& cam, const FaultPlan& plan);
 
 /// Pin stuck cells across a TC-adder farm
-/// (site = adder * fault_sites() + cell).
-CrossbarFaultSummary apply_fault_plan(std::vector<CrsTcAdder>& farm,
+/// (site = slot * (width + 2) + cell; PackedTcAdderFarm::inject_stuck).
+CrossbarFaultSummary apply_fault_plan(PackedTcAdderFarm& farm,
                                       const FaultPlan& plan);
 
 }  // namespace memcim

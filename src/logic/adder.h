@@ -5,7 +5,7 @@
 // This is the straightforward gate-level construction (full adder from
 // XOR/AND/OR IMP programs); it is deliberately unoptimized so that
 // bench_ablation_adders can show why the CRS TC-adder's 4N+5 schedule
-// (tc_adder.h) is the one the paper budgets in Table 1.
+// (packed_adder.h) is the one the paper budgets in Table 1.
 #pragma once
 
 #include <cstddef>

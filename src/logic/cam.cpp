@@ -32,12 +32,9 @@ CrsCam::CrsCam(const CamConfig& config)
   MEMCIM_CHECK_MSG(config_.rows > 0 && config_.word_bits > 0,
                    "CAM dimensions must be positive");
   MEMCIM_CHECK(config_.search_pulses >= 1);
-  // The cell count (the fault sites apply_fault_plan addresses) bounds
-  // the plane size, ceil(rows / 64) · word_bits words.
-  MEMCIM_CHECK_MSG(
-      config_.word_bits <= packed_value_.max_size() / config_.rows,
-      "a " << config_.rows << " x " << config_.word_bits
-           << " CAM has more cells than its planes can hold");
+  MEMCIM_CHECK_MSG(config_.word_bits <= kMaxCrsCells / config_.rows,
+                   "a " << config_.rows << " x " << config_.word_bits
+                        << " CAM has more than kMaxCrsCells cells");
   check_crs_cell_params(config_.cell);
   const std::size_t blocks = config_.rows / kPackedLanes +
                              (config_.rows % kPackedLanes != 0 ? 1 : 0);

@@ -63,9 +63,8 @@ struct CamSearchResult {
 class CrsCam {
  public:
   /// Throws Error, before allocating, unless both dimensions and
-  /// search_pulses are positive, the cell count rows · word_bits is
-  /// within a plane vector's max_size() (so neither it nor the plane
-  /// size overflows a size_t), and the cell parameters pass
+  /// search_pulses are positive, the cell count rows · word_bits is at
+  /// most kMaxCrsCells, and the cell parameters pass
   /// check_crs_cell_params.
   explicit CrsCam(const CamConfig& config);
 

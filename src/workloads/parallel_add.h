@@ -2,19 +2,8 @@
 // independent 32-bit additions ("here we assume 10^6 parallel addition
 // operations").  Besides the closed-form spec used by the Table 2
 // evaluator, this module runs the batch *functionally* on a farm of
-// CRS TC-adders so results, pulse counts and switching energy come from
-// the device models.
-//
-// Two execution engines produce bitwise-identical results (sums,
-// pulses, energy, latency, and every telemetry tally); the caller does
-// not pick one, the farm hook does:
-//
-//   * packed — the compiled lane-block fast path (logic/packed_adder.h)
-//     with exact cost-book replay.  Runs whenever no farm_hook is set.
-//   * scalar — one CrsTcAdder device model per farm slot, pulses walked
-//     one at a time.  Runs exactly when a farm_hook is armed (fault
-//     hooks mutate per-cell device state mid-schedule, which only real
-//     devices model).
+// CRS TC-adders (logic/packed_adder.h) so results, pulse counts and
+// switching energy come from the device model.
 #pragma once
 
 #include <cstdint>
@@ -24,7 +13,7 @@
 #include "common/rng.h"
 #include "common/units.h"
 #include "device/crs.h"
-#include "logic/tc_adder.h"
+#include "logic/packed_adder.h"
 
 namespace memcim {
 
@@ -35,8 +24,7 @@ struct ParallelAddParams {
   /// Called once on the freshly built farm before any addition runs —
   /// the fault-campaign hook (src/fault/) pins stuck cells here.  The
   /// indirection keeps workloads independent of the fault subsystem.
-  /// Setting it selects the scalar engine: faults need real devices.
-  std::function<void(std::vector<CrsTcAdder>&)> farm_hook;
+  std::function<void(PackedTcAdderFarm&)> farm_hook;
   /// Record ParallelAddResult::op_energy — the exact per-op doubles a
   /// sharded run re-folds in global op order so its totals are bitwise
   /// equal to a serial golden replay of the same shard plan.
@@ -51,9 +39,8 @@ struct ParallelAddResult {
   /// parallel → ceil(ops/adders) · (4N+5) pulses.
   Time latency{0.0};
   std::uint64_t mismatches = 0;  ///< vs the golden CPU adds (must be 0)
-  bool used_packed_engine = false;  ///< which engine actually ran
   /// Cell state transitions of the whole run (endurance/energy window
-  /// tally; identical between engines and across shardings).
+  /// tally; identical across shardings).
   std::uint64_t transitions = 0;
   /// Per-op switching energy in joules, exactly as accumulated into
   /// total_energy; filled only when ParallelAddParams::record_per_op.
@@ -67,7 +54,8 @@ struct ParallelAddResult {
                                                  Rng& rng);
 
 /// Run a caller-supplied operand batch (sizes must equal
-/// params.operations) on a fresh farm.  This is the sharding seam: the
+/// params.operations; operands wider than params.width throw Error) on
+/// a fresh farm.  This is the sharding seam: the
 /// multi-tile layer draws all operands once in global op order, slices
 /// them per shard, and calls this on every tile — each tile builds the
 /// full `params.adders` farm (hardware scales with tiles) and applies

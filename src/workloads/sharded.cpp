@@ -50,7 +50,6 @@ ParallelAddResult merge_add_shards(
   ParallelAddResult merged;
   merged.sums.assign(plan.items, 0);
   merged.op_energy.assign(plan.items, 0.0);
-  merged.used_packed_engine = true;
   for (const Shard& s : plan.shards) {
     if (s.empty()) continue;
     const ParallelAddResult& r = per_shard[s.tile];
@@ -63,8 +62,6 @@ ParallelAddResult merge_add_shards(
     merged.mismatches += r.mismatches;
     merged.transitions += r.transitions;
     merged.latency += r.latency;
-    merged.used_packed_engine =
-        merged.used_packed_engine && r.used_packed_engine;
   }
   for (std::size_t op = 0; op < plan.items; ++op)
     merged.total_energy += Energy(merged.op_energy[op]);

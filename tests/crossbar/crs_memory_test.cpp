@@ -92,6 +92,11 @@ TEST(CrsMemory, BoundsChecked) {
   EXPECT_THROW(CrsMemory(std::size_t{1} << 31, std::size_t{1} << 31,
                          presets::crs_cell()),
                Error);
+  // Past kMaxCrsCells (2^33 cells, 64 GiB of per-cell books): refused
+  // before anything is allocated.
+  EXPECT_THROW(CrsMemory(std::size_t{1} << 17, std::size_t{1} << 16,
+                         presets::crs_cell()),
+               Error);
 }
 
 }  // namespace

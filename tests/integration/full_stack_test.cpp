@@ -12,7 +12,7 @@
 #include "logic/cam.h"
 #include "logic/lut.h"
 #include "logic/interconnect.h"
-#include "logic/tc_adder.h"
+#include "logic/packed_adder.h"
 #include "workloads/dna.h"
 
 namespace memcim {
@@ -105,13 +105,14 @@ TEST(Integration, CrossbarToAdderToMemoryPipeline) {
   ASSERT_EQ(a_read, a);
   ASSERT_EQ(b_read, b);
 
-  CrsTcAdder adder(bits, presets::crs_cell());
-  const TcAdderResult sum = adder.add(a_read, b_read);
-  EXPECT_EQ(sum.sum, (a + b) & 0xFFu);
+  PackedTcAdderFarm adder(1, bits, presets::crs_cell());
+  const PackedAddOutcome sum = adder.run({a_read}, {b_read});
+  EXPECT_EQ(sum.sums.front(), (a + b) & 0xFFu);
 
   CrsMemory result_store(1, bits, presets::crs_cell());
   std::vector<bool> sum_bits(bits);
-  for (std::size_t i = 0; i < bits; ++i) sum_bits[i] = (sum.sum >> i) & 1u;
+  for (std::size_t i = 0; i < bits; ++i)
+    sum_bits[i] = (sum.sums.front() >> i) & 1u;
   result_store.write_word(0, sum_bits);
   EXPECT_EQ(result_store.read_word(0), sum_bits);
 }

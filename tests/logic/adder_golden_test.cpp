@@ -1,6 +1,7 @@
-// Golden-vector differential tests for the two adder implementations:
-// every sum is checked against plain integer addition — exhaustively
-// over all 8-bit operand pairs, and with seeded-random 32-bit pairs.
+// Golden-vector differential tests for the two adder designs, the IMPLY
+// ripple adder and the CRS TC-adder farm: every sum is checked against
+// plain integer addition — exhaustively over all 8-bit operand pairs,
+// and with seeded-random 32-bit pairs.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -10,7 +11,7 @@
 #include "logic/adder.h"
 #include "logic/crs_fabric.h"
 #include "logic/ideal_fabric.h"
-#include "logic/tc_adder.h"
+#include "logic/packed_adder.h"
 
 namespace memcim {
 namespace {
@@ -27,12 +28,12 @@ TEST(AdderGolden, ImplyAdderExhaustive8Bit) {
 TEST(AdderGolden, TcAdderExhaustive8Bit) {
   // One physical adder reused across all pairs: the pulse schedule must
   // leave no state behind that corrupts the next add.
-  CrsTcAdder adder(8, presets::crs_cell());
+  PackedTcAdderFarm adder(1, 8, presets::crs_cell());
   for (std::uint64_t a = 0; a < 256; ++a)
     for (std::uint64_t b = 0; b < 256; ++b) {
-      const TcAdderResult r = adder.add(a, b);
-      ASSERT_EQ(r.sum, (a + b) & 0xFFu) << a << " + " << b;
-      ASSERT_EQ(r.carry_out, (a + b) > 0xFFu) << a << " + " << b;
+      const PackedAddOutcome r = adder.run({a}, {b});
+      ASSERT_EQ(r.sums.front(), (a + b) & 0xFFu) << a << " + " << b;
+      ASSERT_EQ(adder.carry_out(0), (a + b) > 0xFFu) << a << " + " << b;
     }
 }
 
@@ -67,15 +68,15 @@ TEST(AdderGolden, CrsFabricSeededRandom32Bit) {
 TEST(AdderGolden, TcAdderSeededRandom32Bit) {
   Rng rng(0xADE0);
   const std::uint64_t mask = 0xFFFFFFFFull;
-  CrsTcAdder adder(32, presets::crs_cell());
+  PackedTcAdderFarm adder(1, 32, presets::crs_cell());
   for (int trial = 0; trial < 256; ++trial) {
     const auto a = static_cast<std::uint64_t>(
         rng.uniform_int(0, static_cast<std::int64_t>(mask)));
     const auto b = static_cast<std::uint64_t>(
         rng.uniform_int(0, static_cast<std::int64_t>(mask)));
-    const TcAdderResult r = adder.add(a, b);
-    ASSERT_EQ(r.sum, (a + b) & mask) << a << " + " << b;
-    ASSERT_EQ(r.carry_out, (a + b) > mask) << a << " + " << b;
+    const PackedAddOutcome r = adder.run({a}, {b});
+    ASSERT_EQ(r.sums.front(), (a + b) & mask) << a << " + " << b;
+    ASSERT_EQ(adder.carry_out(0), (a + b) > mask) << a << " + " << b;
   }
 }
 

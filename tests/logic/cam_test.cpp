@@ -118,6 +118,11 @@ TEST(Cam, Validation) {
   bad.rows = std::numeric_limits<std::size_t>::max();
   bad.word_bits = 2;
   EXPECT_THROW(CrsCam{bad}, Error);
+  // No overflow, but 2^59 cells: past kMaxCrsCells, refused before the
+  // planes are allocated.
+  bad.rows = std::size_t{1} << 40;
+  bad.word_bits = std::size_t{1} << 19;
+  EXPECT_THROW(CrsCam{bad}, Error);
 }
 
 }  // namespace

@@ -90,7 +90,6 @@ TEST(ShardedAdd, MatchesSerialGoldenReplayBitwise) {
 
   expect_add_bitwise_equal(sharded, golden);
   EXPECT_EQ(sharded.merged.mismatches, 0u);
-  EXPECT_TRUE(sharded.merged.used_packed_engine);
   // Fabric books exist and reconcile: compute + NoC, each counted once.
   EXPECT_GT(sharded.run.makespan, 0u);
   EXPECT_GT(sharded.run.flits, 0u);
@@ -123,10 +122,11 @@ TEST(ShardedAdd, GoldenEqualityHoldsUnderArmedFaultHooks) {
   ParallelAddParams params = add_params();
   // Stateless hook, applied identically to every tile's full farm: the
   // same physical slots carry the same stuck cells everywhere.
-  params.farm_hook = [](std::vector<CrsTcAdder>& farm) {
-    farm[0].inject_stuck(2, true);
-    farm[5].inject_stuck(farm[5].fault_sites() - 1, false);
-    farm[11].inject_stuck(0, true);
+  params.farm_hook = [](PackedTcAdderFarm& farm) {
+    const std::size_t cells = PackedTcAdderFarm::devices(farm.width());
+    farm.inject_stuck(0 * cells + 2, true);
+    farm.inject_stuck(5 * cells + cells - 1, false);
+    farm.inject_stuck(11 * cells + 0, true);
   };
   const CrsCellParams cell = presets::crs_cell();
 
@@ -134,7 +134,6 @@ TEST(ShardedAdd, GoldenEqualityHoldsUnderArmedFaultHooks) {
   Rng rng_sharded(9);
   const ShardedAddResult sharded =
       sharded_parallel_add(fabric, params, cell, rng_sharded);
-  EXPECT_FALSE(sharded.merged.used_packed_engine);  // hooks force scalar
 
   Rng rng_golden(9);
   std::vector<std::uint64_t> op_a, op_b;

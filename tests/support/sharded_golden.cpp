@@ -15,7 +15,6 @@ ShardedAddResult replay_parallel_add_plan(
   out.plan = plan;
   out.shard_transitions.assign(plan.shards.size(), 0);
   ParallelAddResult& merged = out.merged;
-  merged.used_packed_engine = true;
   // Shards are contiguous and ascending, so walking them in plan order
   // visits the ops in global order.
   std::size_t next_op = 0;
@@ -42,8 +41,6 @@ ShardedAddResult replay_parallel_add_plan(
     merged.mismatches += r.mismatches;
     merged.transitions += r.transitions;
     merged.latency += r.latency;
-    merged.used_packed_engine =
-        merged.used_packed_engine && r.used_packed_engine;
     out.shard_transitions[s.tile] = r.transitions;
     next_op = s.end;
   }

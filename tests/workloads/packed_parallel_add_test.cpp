@@ -1,14 +1,14 @@
-// Differential suite for the packed parallel-add engine: the compiled
-// lane-block fast path must reproduce the scalar CrsTcAdder farm
-// bitwise — sums, pulses, energy, latency, telemetry tallies — at any
-// thread count, and must fall back to the scalar farm whenever fault
-// hooks are armed.  An armed hook is the only thing that selects the
-// scalar farm, so the scalar side of every differential here is a run
-// with a benign (no-op) hook, as the fault campaign's rate-0 row is.
+// Differential suite for run_parallel_add_ops on the TC-adder farm
+// (PackedTcAdderFarm): it must reproduce walk_parallel_add_ops, the same
+// batch on a farm of pulse-walked CrsTcAdders (tests/support/), bitwise
+// — sums, pulses, energy, latency, mismatches, transitions, per-op
+// energy and the crs_cell.* tallies — with and without stuck cells
+// pinned through farm_hook, and at any thread count.
 #include "workloads/parallel_add.h"
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <map>
 #include <string>
 #include <vector>
@@ -16,6 +16,9 @@
 #include "common/parallel.h"
 #include "common/rng.h"
 #include "device/presets.h"
+#include "fault/campaign.h"
+#include "fault/crossbar_faults.h"
+#include "support/adder_farm_walk.h"
 #include "telemetry/telemetry.h"
 
 namespace memcim {
@@ -44,38 +47,64 @@ std::map<std::string, std::uint64_t> deterministic_counters() {
   return out;
 }
 
-/// Drop the packed-engine bookkeeping extras so scalar-vs-packed tally
-/// comparisons only see the device/workload books both engines share.
-std::map<std::string, std::uint64_t> shared_counters(
-    std::map<std::string, std::uint64_t> counters) {
+/// The crs_cell.* slice, the books the farm and the walked cells share.
+std::map<std::string, std::uint64_t> cell_counters() {
+  std::map<std::string, std::uint64_t> counters = deterministic_counters();
   std::erase_if(counters, [](const auto& kv) {
-    return kv.first.rfind("logic.packed.", 0) == 0;
+    return kv.first.rfind("crs_cell.", 0) != 0;
   });
   return counters;
 }
 
-struct EngineRun {
-  ParallelAddResult result;
-  std::map<std::string, std::uint64_t> counters;
-};
-
-enum class Farm { kPacked, kScalar };
-
-EngineRun run_engine(std::size_t ops, std::size_t width, std::size_t adders,
-                     Farm farm, std::uint64_t seed) {
-  Registry::global().reset();
+ParallelAddParams shape(std::size_t ops, std::size_t width,
+                        std::size_t adders) {
   ParallelAddParams params;
   params.operations = ops;
   params.width = width;
   params.adders = adders;
-  // Armed but benign: selects the scalar farm and leaves it untouched.
-  if (farm == Farm::kScalar)
-    params.farm_hook = [](std::vector<CrsTcAdder>&) {};
+  params.record_per_op = true;
+  return params;
+}
+
+/// Operands drawn as run_parallel_add draws them.
+struct Operands {
+  std::vector<std::uint64_t> a, b;
+};
+
+Operands draw(const ParallelAddParams& params, std::uint64_t seed) {
+  const auto max = static_cast<std::int64_t>(
+      (std::uint64_t{1} << params.width) - 1);
   Rng rng(seed);
-  EngineRun run;
-  run.result = run_parallel_add(params, presets::crs_cell(), rng);
-  run.counters = deterministic_counters();
-  return run;
+  Operands ops;
+  for (std::size_t op = 0; op < params.operations; ++op) {
+    ops.a.push_back(static_cast<std::uint64_t>(rng.uniform_int(0, max)));
+    ops.b.push_back(static_cast<std::uint64_t>(rng.uniform_int(0, max)));
+  }
+  return ops;
+}
+
+struct Books {
+  ParallelAddResult result;
+  std::map<std::string, std::uint64_t> counters;
+};
+
+/// The production run and the oracle walk of one batch, each with its
+/// own crs_cell.* books.
+struct Pair {
+  Books farm, walk;
+};
+
+Pair run_both(const ParallelAddParams& params, const Operands& ops,
+              const std::function<void(CrsTcAdderFarm&)>& pin = {}) {
+  const CrsCellParams cell = presets::crs_cell();
+  Pair pair;
+  Registry::global().reset();
+  pair.farm.result = run_parallel_add_ops(params, cell, ops.a, ops.b);
+  pair.farm.counters = cell_counters();
+  Registry::global().reset();
+  pair.walk.result = walk_parallel_add_ops(params, cell, ops.a, ops.b, pin);
+  pair.walk.counters = cell_counters();
+  return pair;
 }
 
 void expect_bitwise_equal(const ParallelAddResult& a,
@@ -85,6 +114,8 @@ void expect_bitwise_equal(const ParallelAddResult& a,
   EXPECT_EQ(a.total_energy.value(), b.total_energy.value());
   EXPECT_EQ(a.latency.value(), b.latency.value());
   EXPECT_EQ(a.mismatches, b.mismatches);
+  EXPECT_EQ(a.transitions, b.transitions);
+  EXPECT_EQ(a.op_energy, b.op_energy);
 }
 
 TEST(PackedParallelAdd, BitwiseMatchesScalarAcrossShapes) {
@@ -101,59 +132,71 @@ TEST(PackedParallelAdd, BitwiseMatchesScalarAcrossShapes) {
   };
   std::uint64_t seed = 0xADD5;
   for (const auto& s : shapes) {
-    const EngineRun scalar =
-        run_engine(s.ops, s.width, s.adders, Farm::kScalar, seed);
-    const EngineRun packed =
-        run_engine(s.ops, s.width, s.adders, Farm::kPacked, seed);
-    EXPECT_FALSE(scalar.result.used_packed_engine);
-    EXPECT_TRUE(packed.result.used_packed_engine);
-    EXPECT_EQ(packed.result.mismatches, 0u);
-    expect_bitwise_equal(scalar.result, packed.result);
-    EXPECT_EQ(shared_counters(scalar.counters),
-              shared_counters(packed.counters));
-    EXPECT_GT(packed.counters.at("crs_cell.transitions"), 0u);
-    EXPECT_GT(packed.counters.at("crs_cell.switch_energy_aj"), 0u);
+    const ParallelAddParams params = shape(s.ops, s.width, s.adders);
+    const Pair pair = run_both(params, draw(params, seed));
+    EXPECT_EQ(pair.farm.result.mismatches, 0u);
+    expect_bitwise_equal(pair.farm.result, pair.walk.result);
+    EXPECT_EQ(pair.farm.counters, pair.walk.counters);
+    EXPECT_GT(pair.farm.counters.at("crs_cell.transitions"), 0u);
+    EXPECT_GT(pair.farm.counters.at("crs_cell.switch_energy_aj"), 0u);
     ++seed;
   }
+}
+
+TEST(PackedParallelAdd, ArmedHookMatchesOracleAtCampaignRates) {
+  EnvGuard guard;
+  telemetry::set_enabled(true);
+  // The parallel-add fault campaign's own shape and rates.
+  const CampaignConfig config;
+  const ParallelAddParams base =
+      shape(config.add_ops, config.add_width, config.add_adders);
+  const std::size_t sites = config.add_adders * (config.add_width + 2);
+  std::uint64_t faulty_runs = 0;
+  for (const double rate : config.rates) {
+    for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+      SCOPED_TRACE(::testing::Message() << "rate " << rate << ", seed "
+                                        << seed);
+      const FaultPlan plan = FaultPlan::draw(
+          sites, seed, {{FaultKind::kStuckAtLrs, rate / 2.0, 1.0, 0.0},
+                        {FaultKind::kStuckAtHrs, rate / 2.0, 1.0, 0.0}});
+      ParallelAddParams params = base;
+      params.farm_hook = [&plan](PackedTcAdderFarm& farm) {
+        (void)apply_fault_plan(farm, plan);
+      };
+      const Pair pair = run_both(
+          params, draw(params, 0xFA23 + seed), [&plan](CrsTcAdderFarm& farm) {
+            for (const ArmedFault& f : plan.armed())
+              farm.inject_stuck(f.site, f.kind == FaultKind::kStuckAtLrs);
+          });
+      expect_bitwise_equal(pair.farm.result, pair.walk.result);
+      EXPECT_EQ(pair.farm.counters, pair.walk.counters);
+      if (pair.farm.result.mismatches != 0) ++faulty_runs;
+      if (rate == 0.0) {
+        EXPECT_EQ(pair.farm.result.mismatches, 0u);
+      }
+    }
+  }
+  EXPECT_GT(faulty_runs, 0u);  // the faults really bite
 }
 
 TEST(PackedParallelAdd, ThreadCountInvariance) {
   EnvGuard guard;
   telemetry::set_enabled(true);
-  set_parallel_threads(1);
-  const EngineRun one = run_engine(500, 24, 96, Farm::kPacked, 0x7E4D);
-  set_parallel_threads(4);
-  const EngineRun four = run_engine(500, 24, 96, Farm::kPacked, 0x7E4D);
-  EXPECT_TRUE(one.result.used_packed_engine);
-  EXPECT_TRUE(four.result.used_packed_engine);
+  const ParallelAddParams params = shape(500, 24, 96);
+  const Operands ops = draw(params, 0x7E4D);
+  auto run = [&](std::size_t threads) {
+    set_parallel_threads(threads);
+    Registry::global().reset();
+    Books r;
+    r.result =
+        run_parallel_add_ops(params, presets::crs_cell(), ops.a, ops.b);
+    r.counters = deterministic_counters();
+    return r;
+  };
+  const Books one = run(1);
+  const Books four = run(4);
   expect_bitwise_equal(one.result, four.result);
   EXPECT_EQ(one.counters, four.counters);
-}
-
-TEST(PackedParallelAdd, ArmedHooksForceScalarFallback) {
-  EnvGuard guard;
-  telemetry::set_enabled(true);
-  const EngineRun hooked = run_engine(64, 10, 16, Farm::kScalar, 0xFA11);
-  EXPECT_FALSE(hooked.result.used_packed_engine);
-  EXPECT_EQ(hooked.counters.at("logic.packed.adder_fallbacks"), 1u);
-
-  // A benign hook leaves the farm untouched, so the fallback run must
-  // equal the packed run with the same seed.
-  const EngineRun packed = run_engine(64, 10, 16, Farm::kPacked, 0xFA11);
-  EXPECT_TRUE(packed.result.used_packed_engine);
-  expect_bitwise_equal(hooked.result, packed.result);
-}
-
-TEST(PackedParallelAdd, EngineSelectionReported) {
-  EnvGuard guard;
-  telemetry::set_enabled(true);
-  const EngineRun a = run_engine(32, 16, 8, Farm::kPacked, 0x5E1);
-  EXPECT_TRUE(a.result.used_packed_engine);
-  // Registered by other tests but must stay zero on a clean packed run.
-  const auto fallbacks = a.counters.find("logic.packed.adder_fallbacks");
-  EXPECT_EQ(fallbacks == a.counters.end() ? 0u : fallbacks->second, 0u);
-  const EngineRun s = run_engine(32, 16, 8, Farm::kScalar, 0x5E1);
-  EXPECT_FALSE(s.result.used_packed_engine);
 }
 
 TEST(PackedParallelAdd, DisabledTelemetryBooksNothing) {
@@ -167,7 +210,7 @@ TEST(PackedParallelAdd, DisabledTelemetryBooksNothing) {
   Rng rng(0x0FF);
   const ParallelAddResult result =
       run_parallel_add(params, presets::crs_cell(), rng);
-  EXPECT_TRUE(result.used_packed_engine);
+  EXPECT_EQ(result.mismatches, 0u);
   const telemetry::MetricsSnapshot snap = Registry::global().snapshot();
   for (const telemetry::CounterSample& c : snap.counters)
     EXPECT_EQ(c.value, 0u) << c.name;

@@ -4,7 +4,7 @@
 
 #include "common/error.h"
 #include "device/presets.h"
-#include "logic/tc_adder.h"
+#include "logic/packed_adder.h"
 
 namespace memcim {
 namespace {
@@ -28,7 +28,7 @@ TEST(ParallelAdd, PulseAccountingMatchesSchedule) {
   Rng rng(37);
   const auto r = run_parallel_add(params, presets::crs_cell(), rng);
   // Every add costs exactly 4N+5 pulses.
-  EXPECT_EQ(r.total_pulses, 64u * CrsTcAdder::steps(16));
+  EXPECT_EQ(r.total_pulses, 64u * PackedTcAdderFarm::steps(16));
 }
 
 TEST(ParallelAdd, LatencyCountsBatchesNotOperations) {
@@ -39,7 +39,7 @@ TEST(ParallelAdd, LatencyCountsBatchesNotOperations) {
   Rng rng(41);
   const auto r = run_parallel_add(params, presets::crs_cell(), rng);
   const double one_add =
-      static_cast<double>(CrsTcAdder::steps(8)) * 200e-12;
+      static_cast<double>(PackedTcAdderFarm::steps(8)) * 200e-12;
   EXPECT_NEAR(r.latency.value(), 4.0 * one_add, 1e-15);
 }
 
@@ -65,6 +65,37 @@ TEST(ParallelAdd, Validation) {
   bad = ParallelAddParams{};
   bad.width = 64;  // needs headroom for the golden check
   EXPECT_THROW((void)run_parallel_add(bad, presets::crs_cell(), rng), Error);
+}
+
+TEST(ParallelAdd, OperandsWiderThanTheWidthThrow) {
+  ParallelAddParams params;
+  params.operations = 2;
+  params.width = 8;
+  params.adders = 2;
+  // High bits the adder has no cells for: the sum would silently drop
+  // them while the farm's books counted their carries.
+  EXPECT_THROW((void)run_parallel_add_ops(params, presets::crs_cell(),
+                                          {0x1FF, 0xFF00000003}, {0x101, 5}),
+               Error);
+  EXPECT_THROW((void)run_parallel_add_ops(params, presets::crs_cell(),
+                                          {1, 2}, {3, 0x100}),
+               Error);
+  const ParallelAddResult r = run_parallel_add_ops(
+      params, presets::crs_cell(), {0xFF, 0x80}, {0xFF, 0x80});
+  EXPECT_EQ(r.sums, (std::vector<std::uint64_t>{0xFE, 0x00}));
+  EXPECT_EQ(r.mismatches, 0u);
+}
+
+TEST(ParallelAdd, FarmBeyondTheCellCeilingThrowsBeforeAllocating) {
+  // 2^31 adders × 65 cells is past kMaxCrsCells; without the ceiling
+  // the farm would try to allocate ~1 TiB of books.
+  ParallelAddParams params;
+  params.operations = 1;
+  params.width = 63;
+  params.adders = std::size_t{1} << 31;
+  EXPECT_THROW((void)run_parallel_add_ops(params, presets::crs_cell(), {1},
+                                          {2}),
+               Error);
 }
 
 }  // namespace
