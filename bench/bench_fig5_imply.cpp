@@ -8,6 +8,10 @@
 // the per-IMP pulse cost, and an N-bit adder built from the same gate
 // library on each backend — "IMP paves the path to more complex
 // memristive in-memory-computing architectures" (Section IV.C).
+//
+// The gate library's declared costs are then checked against an
+// IdealFabric run, ending in Table 1's DNA comparator: "2 XOR and a
+// NAND implemented by implication logic [58]; 13 memristors; 16 steps".
 #include <benchmark/benchmark.h>
 
 #include <fstream>
@@ -18,8 +22,10 @@
 #include "common/table.h"
 #include "device/presets.h"
 #include "logic/adder.h"
+#include "logic/comparator.h"
 #include "logic/crs_fabric.h"
 #include "logic/device_fabric.h"
+#include "logic/gates.h"
 #include "logic/ideal_fabric.h"
 #include "telemetry/json_writer.h"
 
@@ -136,6 +142,139 @@ void print_adders(telemetry::JsonWriter& w) {
   std::cout << t.to_text() << '\n';
 }
 
+/// Steps and registers one gate or circuit takes on an IdealFabric once
+/// its inputs are loaded.
+struct Measured {
+  std::uint64_t steps = 0;
+  std::size_t registers = 0;
+  bool out = false;
+};
+
+template <typename Body>
+Measured measure(const std::vector<bool>& inputs, Body&& body) {
+  IdealFabric f;
+  const std::vector<Reg> in = load_word(f, inputs);
+  f.reset_counters();
+  const std::size_t before = f.size();
+  const Reg r = body(f, in);
+  return {f.steps(), f.size() - before, f.read(r)};
+}
+
+void print_comparator(telemetry::JsonWriter& w) {
+  using Unary = Reg (*)(Fabric&, Reg);
+  using Binary = Reg (*)(Fabric&, Reg, Reg);
+  const struct {
+    const char* name;
+    GateCost declared;
+    Unary unary;
+    Binary binary;
+  } gates[] = {
+      {"NOT", cost_not(), gate_not, nullptr},
+      {"COPY", cost_copy(), gate_copy, nullptr},
+      {"NAND", cost_nand(), nullptr, gate_nand},
+      {"AND", cost_and(), nullptr, gate_and},
+      {"OR", cost_or(), nullptr, gate_or},
+      {"NOR", cost_nor(), nullptr, gate_nor},
+      {"XOR", cost_xor(), nullptr, gate_xor},
+      {"XOR (destructive)", cost_xor_destructive(), nullptr,
+       gate_xor_destructive},
+      {"XNOR", cost_xnor(), nullptr, gate_xnor},
+  };
+  TextTable g({"Gate", "steps (declared)", "steps (IdealFabric)",
+               "registers (declared)", "registers (IdealFabric)"});
+  w.key("table1_comparator").begin_object();
+  w.key("gates").begin_array();
+  for (const auto& gate : gates) {
+    const Measured m =
+        gate.unary != nullptr
+            ? measure({true}, [&](Fabric& f, const std::vector<Reg>& in) {
+                return gate.unary(f, in[0]);
+              })
+            : measure({true, false},
+                      [&](Fabric& f, const std::vector<Reg>& in) {
+                        return gate.binary(f, in[0], in[1]);
+                      });
+    g.add_row({gate.name, std::to_string(gate.declared.steps),
+               std::to_string(m.steps),
+               std::to_string(gate.declared.registers),
+               std::to_string(m.registers)});
+    w.begin_object();
+    w.key("gate").value(gate.name);
+    w.key("declared_steps").value(std::uint64_t{gate.declared.steps});
+    w.key("measured_steps").value(m.steps);
+    w.key("declared_registers").value(std::uint64_t{gate.declared.registers});
+    w.key("measured_registers").value(std::uint64_t{m.registers});
+    w.end_object();
+  }
+  w.end_array();
+  std::cout << g.to_text() << '\n';
+
+  // Table 1's comparator on one nucleotide (2 bits): a1 a0 vs b1 b0.
+  using Comparator = Reg (*)(Fabric&, Reg, Reg, Reg, Reg);
+  const auto run = [](Comparator circuit, bool a1, bool a0, bool b1,
+                      bool b0) {
+    return measure({a1, a0, b1, b0},
+                   [&](Fabric& f, const std::vector<Reg>& in) {
+                     return circuit(f, in[0], in[1], in[2], in[3]);
+                   });
+  };
+  const ComparatorCost cost = comparator_cost();
+  TextTable c({"Comparator", "memristors (Table 1)",
+               "parallel steps (Table 1)", "serial steps (declared)",
+               "serial steps (IdealFabric)"});
+  w.key("comparator_cost").begin_object();
+  w.key("devices").value(std::uint64_t{cost.devices});
+  w.key("parallel_steps").value(std::uint64_t{cost.parallel_steps});
+  w.key("serial_steps").value(std::uint64_t{cost.serial_steps});
+  w.end_object();
+  w.key("circuits").begin_array();
+  const struct {
+    const char* name;
+    Comparator circuit;
+  } circuits[] = {{"paper: NAND(a1^b1, a0^b0)", paper_comparator},
+                  {"equality: NOR(a1^b1, a0^b0)", equality_comparator}};
+  for (const auto& circuit : circuits) {
+    const Measured m = run(circuit.circuit, false, false, false, false);
+    c.add_row({circuit.name, std::to_string(cost.devices),
+               std::to_string(cost.parallel_steps),
+               std::to_string(cost.serial_steps), std::to_string(m.steps)});
+    w.begin_object();
+    w.key("circuit").value(circuit.name);
+    w.key("measured_serial_steps").value(m.steps);
+    w.end_object();
+  }
+  w.end_array();
+  std::cout << c.to_text() << '\n';
+
+  TextTable t({"a1", "a0", "b1", "b0", "paper", "equality"});
+  w.key("truth_table").begin_array();
+  for (int v = 0; v < 16; ++v) {
+    const bool a1 = (v & 8) != 0, a0 = (v & 4) != 0;
+    const bool b1 = (v & 2) != 0, b0 = (v & 1) != 0;
+    const bool paper = run(paper_comparator, a1, a0, b1, b0).out;
+    const bool equal = run(equality_comparator, a1, a0, b1, b0).out;
+    t.add_row({std::to_string(a1), std::to_string(a0), std::to_string(b1),
+               std::to_string(b0), std::to_string(paper),
+               std::to_string(equal)});
+    w.begin_object();
+    w.key("a1").value(a1);
+    w.key("a0").value(a0);
+    w.key("b1").value(b1);
+    w.key("b0").value(b0);
+    w.key("paper").value(paper);
+    w.key("equality").value(equal);
+    w.end_object();
+  }
+  w.end_array();
+  w.end_object();
+  std::cout << t.to_text() << '\n'
+            << "Table 1's cost sheet is the paper's circuit: 2 XOR (13\n"
+               "steps each, in parallel) + NAND (3) = 16 steps, 29 serial.\n"
+               "It reads 0 only when both bit positions differ, so it is no\n"
+               "equality test; the NOR form is 1 exactly when a1a0 == b1b0\n"
+               "and takes 13 + 13 + 9 = 35 serial steps.\n\n";
+}
+
 void BM_DeviceLevelImp(benchmark::State& state) {
   for (auto _ : state) {
     DeviceFabric f(fig5a_params());
@@ -169,6 +308,7 @@ int main(int argc, char** argv) {
   print_truth_tables(w);
   print_costs(w);
   print_adders(w);
+  print_comparator(w);
   w.end_object();
   std::ofstream("BENCH_fig5.json") << w.str();
   std::cout << "Wrote BENCH_fig5.json\n\n";

@@ -17,6 +17,7 @@
 #include "common/table.h"
 #include "device/presets.h"
 #include "workloads/dna.h"
+#include "workloads/sharded.h"
 
 int main() {
   using namespace memcim;
@@ -44,9 +45,7 @@ int main() {
                 std::to_string(tolerant.character_comparisons)});
   std::cout << conv.to_text()
             << "\nSequencing errors break the exact k-mer pipeline; multi-\n"
-               "seed lookup + mismatch tolerance recovers the reads (and on\n"
-               "CIM the tolerant compare is one XOR pass + a match-line\n"
-               "threshold - see parallel_compare_tolerant).\n\n";
+               "seed lookup + mismatch tolerance recovers the reads.\n\n";
 
   // --- CIM pipeline: parallel comparators over a tile ------------------------
   // Store 32 reference windows in a tile, compare one read pattern
@@ -58,20 +57,11 @@ int main() {
   tile_cfg.cell = presets::crs_cell();
   CimTile tile(tile_cfg);
 
-  auto encode = [&](const std::string& s, std::size_t from) {
-    std::vector<bool> bits;
-    bits.reserve(window * 2);
-    for (std::size_t i = 0; i < window; ++i) {
-      const auto n = static_cast<std::uint8_t>(nucleotide_from_char(s[from + i]));
-      bits.push_back(n & 1u);
-      bits.push_back(n & 2u);
-    }
-    return bits;
-  };
   const std::size_t key_pos = 12'345;
-  for (std::size_t r = 0; r < tile_cfg.rows; ++r)
-    tile.store_row(r, encode(genome, key_pos - 7 + r));  // row 7 matches
-  const std::vector<bool> matches = tile.parallel_compare(encode(genome, key_pos));
+  for (std::size_t r = 0; r < tile_cfg.rows; ++r)  // row 7 matches
+    tile.store_row(r, encode_kmer(genome, key_pos - 7 + r, window));
+  const std::vector<bool> matches =
+      tile.parallel_compare(encode_kmer(genome, key_pos, window));
   std::size_t hit_row = tile_cfg.rows;
   for (std::size_t r = 0; r < matches.size(); ++r)
     if (matches[r]) hit_row = r;

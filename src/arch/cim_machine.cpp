@@ -57,22 +57,4 @@ std::vector<std::size_t> CimMachine::search(const std::vector<bool>& key) {
   return matches;
 }
 
-void CimMachine::add_rows(std::size_t row_a, std::size_t row_b,
-                          std::size_t row_dst, std::size_t lane_bits) {
-  const Location a = locate(row_a);
-  const Location b = locate(row_b);
-  const Location d = locate(row_dst);
-  MEMCIM_CHECK_MSG(a.tile == b.tile && b.tile == d.tile,
-                   "add_rows operands must live in one tile (no inter-tile "
-                   "data path in this machine)");
-  CimTile& t = tiles_[a.tile];
-  const Time before_latency = t.stats().latency;
-  t.parallel_add(a.row, b.row, d.row, lane_bits);
-  stats_.latency +=
-      (t.stats().latency - before_latency) + config_.dispatch_latency;
-  dispatch_energy_ += config_.dispatch_energy;
-  ++stats_.waves;
-  stats_.operations += config_.tile.row_bits / lane_bits;
-}
-
 }  // namespace memcim

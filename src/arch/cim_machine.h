@@ -62,10 +62,6 @@ class CimMachine {
   /// dispatch overhead.  Returns global row indices of matches.
   [[nodiscard]] std::vector<std::size_t> search(const std::vector<bool>& key);
 
-  /// Lane-wise add of two global rows into a third (must share a tile).
-  void add_rows(std::size_t row_a, std::size_t row_b, std::size_t row_dst,
-                std::size_t lane_bits);
-
   [[nodiscard]] CimTile& tile(std::size_t index);
 
  private:

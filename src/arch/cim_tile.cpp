@@ -9,7 +9,6 @@
 #include "common/error.h"
 #include "isa/kernels.h"
 #include "logic/packed.h"
-#include "logic/packed_adder.h"
 #include "telemetry/telemetry.h"
 
 namespace memcim {
@@ -18,15 +17,11 @@ namespace {
 
 struct TileMetrics {
   telemetry::Counter& compares;
-  telemetry::Counter& adds;
   telemetry::Counter& rows;
-  telemetry::Counter& lanes;
   TileMetrics()
       : compares(
             telemetry::Registry::global().counter("cim_tile.compare.ops")),
-        adds(telemetry::Registry::global().counter("cim_tile.add.ops")),
-        rows(telemetry::Registry::global().counter("cim_tile.compare.rows")),
-        lanes(telemetry::Registry::global().counter("cim_tile.add.lanes")) {}
+        rows(telemetry::Registry::global().counter("cim_tile.compare.rows")) {}
 };
 
 TileMetrics& tile_metrics() {
@@ -52,6 +47,7 @@ void transpose_bits64(std::array<std::uint64_t, kPackedLanes>& m) {
 CimTile::CimTile(const CimTileConfig& config)
     : config_(config), memory_(config.rows, config.row_bits, config.cell) {
   MEMCIM_CHECK(config_.rows > 0 && config_.row_bits > 0);
+  check_logic_cost_model(config_.cost);
 }
 
 void CimTile::store_row(std::size_t row, const std::vector<bool>& bits) {
@@ -129,88 +125,6 @@ std::vector<bool> CimTile::parallel_compare(const std::vector<bool>& key) {
   stats_.energy += total_energy;
   stats_.operations += config_.rows;
   return std::move(result.outputs);
-}
-
-std::vector<bool> CimTile::parallel_compare_tolerant(
-    const std::vector<bool>& key, std::size_t max_mismatched_bits) {
-  MEMCIM_CHECK_MSG(key.size() == config_.row_bits,
-                   "key width must equal the row width");
-  // Circuit model: every bit-pair runs its 13-step XOR on its own
-  // column strip (bit-level parallelism, as the paper's comparator runs
-  // its two XORs in parallel); the XOR outputs drive a CAM-style match
-  // line whose discharge current is proportional to the mismatch count,
-  // thresholded by the sense amp in one precharge+evaluate pair.
-  static telemetry::SpanSite span_site("cim_tile.parallel_compare_tolerant");
-  telemetry::Span span(span_site);
-  tile_metrics().compares.add(1);
-  tile_metrics().rows.add(config_.rows);
-  constexpr std::size_t kXorSteps = 13;
-  constexpr std::size_t kSensePulses = 2;
-  const Time pass_latency =
-      config_.cost.t_step * static_cast<double>(kXorSteps + kSensePulses);
-
-  std::vector<bool> matches(config_.rows);
-  Energy total_energy{0.0};
-  for (std::size_t r = 0; r < config_.rows; ++r) {
-    const std::vector<bool> row = memory_.read_word(r);
-    std::size_t mismatches = 0;
-    for (std::size_t b = 0; b < config_.row_bits; ++b)
-      if (row[b] != key[b]) ++mismatches;
-    matches[r] = mismatches <= max_mismatched_bits;
-    // 13 writes per bit for the XORs + one discharge quantum per
-    // mismatching bit on the match line.
-    total_energy +=
-        config_.cost.e_write *
-        static_cast<double>(kXorSteps * config_.row_bits + mismatches);
-  }
-  stats_.latency += pass_latency;
-  stats_.energy += total_energy;
-  stats_.operations += config_.rows;
-  return matches;
-}
-
-std::uint64_t CimTile::lane_value(const std::vector<bool>& bits,
-                                  std::size_t lane,
-                                  std::size_t lane_bits) const {
-  std::uint64_t value = 0;
-  for (std::size_t i = 0; i < lane_bits; ++i)
-    if (bits[lane * lane_bits + i]) value |= (std::uint64_t{1} << i);
-  return value;
-}
-
-void CimTile::parallel_add(std::size_t row_a, std::size_t row_b,
-                           std::size_t row_dst, std::size_t lane_bits) {
-  MEMCIM_CHECK_MSG(lane_bits >= 1 && lane_bits <= 64 &&
-                       config_.row_bits % lane_bits == 0,
-                   "row width must be a multiple of the lane width");
-  static telemetry::SpanSite span_site("cim_tile.parallel_add");
-  telemetry::Span span(span_site);
-  const std::size_t lanes = config_.row_bits / lane_bits;
-  tile_metrics().adds.add(1);
-  tile_metrics().lanes.add(lanes);
-  const std::vector<bool> a = memory_.read_word(row_a);
-  const std::vector<bool> b = memory_.read_word(row_b);
-
-  // One fresh adder per lane, all lanes in parallel.
-  PackedTcAdderFarm farm(lanes, lane_bits, config_.cell);
-  std::vector<std::uint64_t> a_lanes(lanes), b_lanes(lanes);
-  for (std::size_t lane = 0; lane < lanes; ++lane) {
-    a_lanes[lane] = lane_value(a, lane, lane_bits);
-    b_lanes[lane] = lane_value(b, lane, lane_bits);
-  }
-  const PackedAddOutcome r = farm.run(a_lanes, b_lanes);
-
-  std::vector<bool> dst(config_.row_bits, false);
-  Energy total_energy{0.0};
-  for (std::size_t lane = 0; lane < lanes; ++lane) {
-    for (std::size_t i = 0; i < lane_bits; ++i)
-      dst[lane * lane_bits + i] = (r.sums[lane] >> i) & 1u;
-    total_energy += Energy(r.energies[lane]);
-  }
-  memory_.write_word(row_dst, dst);
-  stats_.latency += farm.add_latency();
-  stats_.energy += total_energy;
-  stats_.operations += lanes;
 }
 
 }  // namespace memcim

@@ -3,7 +3,7 @@
 // version of Figure 2's "proposed architecture" (storage and
 // computation integrated in the same physical location).
 //
-// The tile executes two operation families the paper's examples need:
+// The tile executes the operation the paper's DNA example needs:
 //
 //   * parallel_compare — match a key word against every stored row
 //     simultaneously (the DNA primitive).  Latency is one comparator
@@ -16,9 +16,10 @@
 //     The books equal the per-row IdealFabric walk bit for bit
 //     (tests/arch/compare_engine_test.cpp keeps that walk as the
 //     oracle).
-//   * parallel_add — add word lanes of two rows into a destination row
-//     using CRS TC-adders, one per lane, all lanes concurrent (the
-//     math primitive).
+//
+// The math primitive runs on PackedTcAdderFarm (logic/packed_adder.h)
+// through run_parallel_add_ops (workloads/parallel_add.h); the sharded
+// and serving add paths run one such farm per tile.
 //
 // The controller keeps latency/energy books with the Table 1 cost
 // quanta so examples and integration tests can report architecture
@@ -70,26 +71,10 @@ class alignas(64) CimTile {
   [[nodiscard]] std::vector<bool> parallel_compare(
       const std::vector<bool>& key);
 
-  /// Tolerant compare: a row matches when at most `max_mismatched_bits`
-  /// bits differ from the key.  Implemented as per-bit XORs followed by
-  /// an in-fabric population-count compare — the approximate-matching
-  /// mode real read-mapping needs (sequencing reads carry errors).
-  [[nodiscard]] std::vector<bool> parallel_compare_tolerant(
-      const std::vector<bool>& key, std::size_t max_mismatched_bits);
-
-  /// dst ← a + b, lane-wise: each row is split into `lane_bits`-wide
-  /// integers added independently (carry does not cross lanes).
-  void parallel_add(std::size_t row_a, std::size_t row_b, std::size_t row_dst,
-                    std::size_t lane_bits);
-
   /// Direct access to the storage bank (for tests).
   [[nodiscard]] const CrsMemory& memory() const { return memory_; }
 
  private:
-  [[nodiscard]] std::uint64_t lane_value(const std::vector<bool>& bits,
-                                         std::size_t lane,
-                                         std::size_t lane_bits) const;
-
   CimTileConfig config_;
   CrsMemory memory_;
   CimTileStats stats_;

@@ -6,19 +6,6 @@
 
 namespace memcim {
 
-std::size_t ShardPlan::max_shard() const {
-  std::size_t worst = 0;
-  for (const Shard& s : shards) worst = std::max(worst, s.size());
-  return worst;
-}
-
-std::size_t ShardPlan::active_tiles() const {
-  std::size_t active = 0;
-  for (const Shard& s : shards)
-    if (!s.empty()) ++active;
-  return active;
-}
-
 namespace {
 
 /// Block-distribute `units` over `tiles`: the first `units % tiles`
@@ -32,21 +19,6 @@ std::vector<std::size_t> block_counts(std::size_t units, std::size_t tiles) {
 }
 
 }  // namespace
-
-ShardPlan Partitioner::contiguous(std::size_t items, std::size_t tiles) {
-  MEMCIM_CHECK_MSG(tiles > 0, "plan needs at least one tile");
-  ShardPlan plan;
-  plan.items = items;
-  plan.shards.reserve(tiles);
-  const std::vector<std::size_t> counts = block_counts(items, tiles);
-  std::size_t cursor = 0;
-  for (std::size_t t = 0; t < tiles; ++t) {
-    plan.shards.push_back({t, cursor, cursor + counts[t]});
-    cursor += counts[t];
-  }
-  MEMCIM_CHECK(cursor == items);
-  return plan;
-}
 
 ShardPlan Partitioner::batch_aligned(std::size_t items, std::size_t tiles,
                                      std::size_t batch) {

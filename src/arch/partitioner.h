@@ -2,14 +2,13 @@
 // T tiles" into contiguous shards whose merge order is fixed, so a
 // sharded run can reproduce a single-tile golden run item for item.
 //
-// Two flavours:
-//   * contiguous      — near-equal split, remainder spread over the
-//     leading shards (the classic block distribution).
-//   * batch_aligned   — every shard boundary is a multiple of `batch`.
-//     The TC-adder farm needs this: the op → adder-slot mapping is
-//     op mod adders, so only batch-aligned shards preserve each op's
-//     physical slot (and therefore its exact pulse schedule) when every
-//     tile instantiates the same farm.
+// batch_aligned distributes whole batches near-equally (the classic
+// block distribution, remainder over the leading shards), so every
+// shard boundary is a multiple of `batch`.  The TC-adder farm needs
+// this: the op → adder-slot mapping is op mod adders, so only
+// batch-aligned shards preserve each op's physical slot (and therefore
+// its exact pulse schedule) when every tile instantiates the same farm.
+// With batch 1 it is the plain near-equal contiguous split.
 //
 // Shards are emitted for every tile, possibly empty, in tile order;
 // merging per-shard results back in that order reconstructs global item
@@ -33,19 +32,10 @@ struct Shard {
 struct ShardPlan {
   std::size_t items = 0;
   std::vector<Shard> shards;  ///< one per tile, ascending, contiguous
-
-  /// Largest shard size — the quantity load balance minimizes.
-  [[nodiscard]] std::size_t max_shard() const;
-  /// Tiles with at least one item.
-  [[nodiscard]] std::size_t active_tiles() const;
 };
 
 class Partitioner {
  public:
-  /// Near-equal contiguous split of `items` over `tiles`.
-  [[nodiscard]] static ShardPlan contiguous(std::size_t items,
-                                            std::size_t tiles);
-
   /// Contiguous split whose boundaries are multiples of `batch` (the
   /// final boundary is `items` itself, which may be ragged).  Whole
   /// batches are distributed near-equally.

@@ -14,10 +14,4 @@ Table1 paper_table1() {
   return t;
 }
 
-NocParams paper_noc_params() {
-  NocParams p;
-  p.cycle = Time(1.0 / paper_table1().finfet.clock.value());  // 1 ns
-  return p;  // remaining defaults are the 22 nm-class Orion constants
-}
-
 }  // namespace memcim

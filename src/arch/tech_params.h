@@ -13,7 +13,6 @@
 #include <cstddef>
 
 #include "common/units.h"
-#include "noc/noc_params.h"
 
 namespace memcim {
 
@@ -117,11 +116,5 @@ struct Table1 {
 
 /// Factory with every Table 1 value filled in.
 [[nodiscard]] Table1 paper_table1();
-
-/// Mesh-NoC parameters matched to the Table 1 conventions: the
-/// inter-tile fabric is CMOS controller territory, so it runs on the
-/// 1 GHz interface clock of the FinFET column, with Orion-style wire
-/// constants for the 22 nm-class node (see src/noc/noc_params.h).
-[[nodiscard]] NocParams paper_noc_params();
 
 }  // namespace memcim

@@ -76,21 +76,6 @@ Energy TileFabric::tile_energy() const {
   return total;
 }
 
-void TileFabric::record_telemetry() const {
-  noc_.record_telemetry();
-  if (!telemetry::enabled()) return;
-  telemetry::Registry& reg = telemetry::Registry::global();
-  NocCycle total_busy = 0;
-  for (const NocCycle b : busy_) total_busy += b;
-  reg.counter("tile.busy_cycles").add(total_busy);
-  reg.counter("tile.count").add(tiles());
-  reg.gauge("fabric.utilization").set(utilization());
-
-  telemetry::Histogram& busy_hist = reg.histogram(
-      "tile.busy_cycles_dist", telemetry::exponential_bounds(1.0, 4.0, 12));
-  for (const NocCycle b : busy_) busy_hist.record(static_cast<double>(b));
-}
-
 FabricSession::FabricSession(TileFabric& fabric, ShardColumn column)
     : fabric_(fabric),
       column_(column),

@@ -74,11 +74,6 @@ class TileFabric {
   [[nodiscard]] Energy noc_energy() const { return noc_.dynamic_energy(); }
   [[nodiscard]] Energy energy() const { return tile_energy() + noc_energy(); }
 
-  /// Export tile.busy_cycles / fabric.utilization and the NoC metric
-  /// set.  Call once per finished run (idempotent counters would double
-  /// count).
-  void record_telemetry() const;
-
  private:
   TileFabricConfig config_;
   MeshNoc noc_;

@@ -4,31 +4,6 @@
 
 namespace memcim {
 
-Matrix Matrix::identity(std::size_t n) {
-  Matrix m(n, n);
-  for (std::size_t i = 0; i < n; ++i) m(i, i) = 1.0;
-  return m;
-}
-
-std::vector<double> Matrix::multiply(const std::vector<double>& x) const {
-  MEMCIM_CHECK_MSG(x.size() == cols_, "matrix-vector size mismatch: " << cols_
-                                          << " cols vs " << x.size());
-  std::vector<double> y(rows_, 0.0);
-  for (std::size_t r = 0; r < rows_; ++r) {
-    double acc = 0.0;
-    const double* row = data_.data() + r * cols_;
-    for (std::size_t c = 0; c < cols_; ++c) acc += row[c] * x[c];
-    y[r] = acc;
-  }
-  return y;
-}
-
-double Matrix::max_abs() const {
-  double m = 0.0;
-  for (double v : data_) m = std::max(m, std::abs(v));
-  return m;
-}
-
 LuFactorization::LuFactorization(Matrix a) : lu_(std::move(a)) {
   MEMCIM_CHECK_MSG(lu_.rows() == lu_.cols(), "LU requires a square matrix");
   const std::size_t n = lu_.rows();

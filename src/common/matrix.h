@@ -17,9 +17,6 @@ class Matrix {
   Matrix(std::size_t rows, std::size_t cols, double fill = 0.0)
       : rows_(rows), cols_(cols), data_(rows * cols, fill) {}
 
-  /// Identity matrix of size n×n.
-  [[nodiscard]] static Matrix identity(std::size_t n);
-
   [[nodiscard]] std::size_t rows() const { return rows_; }
   [[nodiscard]] std::size_t cols() const { return cols_; }
 
@@ -29,12 +26,6 @@ class Matrix {
   [[nodiscard]] double operator()(std::size_t r, std::size_t c) const {
     return data_[r * cols_ + c];
   }
-
-  /// y = A·x.
-  [[nodiscard]] std::vector<double> multiply(const std::vector<double>& x) const;
-
-  /// Max-abs element, useful for residual checks.
-  [[nodiscard]] double max_abs() const;
 
  private:
   std::size_t rows_ = 0;

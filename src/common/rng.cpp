@@ -16,12 +16,6 @@ std::int64_t Rng::uniform_int(std::int64_t lo, std::int64_t hi) {
   return std::uniform_int_distribution<std::int64_t>(lo, hi)(engine_);
 }
 
-double Rng::normal(double mean, double stddev) {
-  MEMCIM_CHECK(stddev >= 0.0);
-  if (stddev == 0.0) return mean;
-  return std::normal_distribution<double>(mean, stddev)(engine_);
-}
-
 double Rng::lognormal_median(double median, double sigma_ln) {
   MEMCIM_CHECK(median > 0.0 && sigma_ln >= 0.0);
   if (sigma_ln == 0.0) return median;

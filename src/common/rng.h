@@ -20,9 +20,6 @@ class Rng {
   /// Uniform integer in [lo, hi] inclusive.
   [[nodiscard]] std::int64_t uniform_int(std::int64_t lo, std::int64_t hi);
 
-  /// Normal with given mean and standard deviation.
-  [[nodiscard]] double normal(double mean, double stddev);
-
   /// Lognormal parameterized by the *median* and the sigma of ln(x):
   /// the conventional way memristor R_on/R_off spreads are reported.
   [[nodiscard]] double lognormal_median(double median, double sigma_ln);

@@ -50,16 +50,6 @@ void SparseMatrix::finalize() {
   finalized_ = true;
 }
 
-std::size_t SparseMatrix::nonzeros() const {
-  MEMCIM_CHECK(finalized_);
-  return values_.size();
-}
-
-void SparseMatrix::begin_update() {
-  MEMCIM_CHECK_MSG(finalized_, "begin_update() requires finalize()");
-  std::fill(values_.begin(), values_.end(), 0.0);
-}
-
 void SparseMatrix::begin_update(const std::vector<double>& base) {
   MEMCIM_CHECK_MSG(finalized_, "begin_update() requires finalize()");
   MEMCIM_CHECK_MSG(base.size() == values_.size(),
@@ -80,19 +70,6 @@ std::size_t SparseMatrix::slot(std::size_t r, std::size_t c) const {
                    "slot(): (" << r << ',' << c
                                << ") is not a structural nonzero");
   return static_cast<std::size_t>(it - col_idx_.begin());
-}
-
-void SparseMatrix::set(std::size_t r, std::size_t c, double value) {
-  values_[slot(r, c)] = value;
-}
-
-void SparseMatrix::add_to(std::size_t r, std::size_t c, double value) {
-  values_[slot(r, c)] += value;
-}
-
-void SparseMatrix::set_slot(std::size_t s, double value) {
-  MEMCIM_CHECK_MSG(finalized_ && s < values_.size(), "set_slot out of range");
-  values_[s] = value;
 }
 
 void SparseMatrix::add_slot(std::size_t s, double value) {

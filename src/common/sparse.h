@@ -7,9 +7,9 @@
 //
 // Nonlinear solves re-stamp the same nodal pattern every sweep, so the
 // matrix supports a symbolic-once / numeric-refresh protocol: assemble
-// and finalize() once, then per sweep call begin_update() and rewrite
-// values in place — by coordinate (set()/add_to()) or, hot-path, by
-// slot index resolved once with slot().  No re-sort, no reallocation.
+// and finalize() once, resolve each stamp's slot index once with
+// slot(), then per sweep call begin_update(base) and accumulate values
+// in place with add_slot().  No re-sort, no reallocation.
 #pragma once
 
 #include <cstddef>
@@ -38,31 +38,20 @@ class SparseMatrix {
   [[nodiscard]] std::size_t rows() const { return rows_; }
   [[nodiscard]] std::size_t cols() const { return cols_; }
   [[nodiscard]] bool finalized() const { return finalized_; }
-  [[nodiscard]] std::size_t nonzeros() const;
 
   // --- Numeric refresh (structure reuse) ----------------------------------
   // All of these require finalize() to have been called; the sparsity
   // pattern is frozen and only the stored values change.
 
-  /// Reset every stored value to zero, keeping the CSR structure.
-  void begin_update();
-
   /// Reset stored values to `base` (e.g. the constant stamps of a nodal
-  /// matrix, captured once via values()).  Size must equal nonzeros().
+  /// matrix, captured once via values()).  Size must equal values().size().
   void begin_update(const std::vector<double>& base);
 
-  /// Overwrite the value at structural nonzero (r, c).  Throws if the
-  /// coordinate is not part of the pattern.
-  void set(std::size_t r, std::size_t c, double value);
-
-  /// Accumulate into the value at structural nonzero (r, c).
-  void add_to(std::size_t r, std::size_t c, double value);
-
   /// Index of structural nonzero (r, c) into values(); resolve once,
-  /// then refresh with set_slot()/add_slot() at O(1).
+  /// then refresh with add_slot() at O(1).  Throws if the coordinate is
+  /// not part of the pattern.
   [[nodiscard]] std::size_t slot(std::size_t r, std::size_t c) const;
 
-  void set_slot(std::size_t s, double value);
   void add_slot(std::size_t s, double value);
 
   /// CSR value array (requires finalize()); index with slot().

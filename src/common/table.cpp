@@ -45,33 +45,6 @@ std::string TextTable::to_text() const {
   return os.str();
 }
 
-namespace {
-
-std::string csv_escape(const std::string& cell) {
-  if (cell.find_first_of(",\"\n") == std::string::npos) return cell;
-  std::string out = "\"";
-  for (char ch : cell) {
-    if (ch == '"') out += '"';
-    out += ch;
-  }
-  out += '"';
-  return out;
-}
-
-}  // namespace
-
-std::string TextTable::to_csv() const {
-  std::ostringstream os;
-  auto emit = [&](const std::vector<std::string>& row) {
-    for (std::size_t c = 0; c < row.size(); ++c)
-      os << csv_escape(row[c]) << (c + 1 < row.size() ? "," : "");
-    os << '\n';
-  };
-  emit(headers_);
-  for (const auto& row : rows_) emit(row);
-  return os.str();
-}
-
 std::string sci_string(double value, int precision) {
   std::ostringstream os;
   os << std::scientific << std::setprecision(precision) << value;

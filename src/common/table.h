@@ -1,4 +1,4 @@
-// Text/CSV table rendering used by every bench binary to print the
+// Text table rendering used by every bench binary to print the
 // paper's tables and figure series in a uniform, aligned format.
 #pragma once
 
@@ -8,7 +8,7 @@
 
 namespace memcim {
 
-/// A simple column-aligned text table with optional CSV export.
+/// A simple column-aligned text table.
 ///
 /// Cells are stored as strings; numeric helpers format through
 /// `si_string`/scientific notation so bench output stays readable.
@@ -23,9 +23,6 @@ class TextTable {
 
   /// Render with aligned columns and a header rule.
   [[nodiscard]] std::string to_text() const;
-
-  /// Render as RFC-4180-ish CSV (quotes cells containing commas/quotes).
-  [[nodiscard]] std::string to_csv() const;
 
  private:
   std::vector<std::string> headers_;

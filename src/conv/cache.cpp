@@ -90,10 +90,6 @@ void SetAssociativeCache::run(const MemoryTrace& trace) {
   for (const MemoryAccess& a : trace.accesses()) (void)access(a.address, a.is_write);
 }
 
-void SetAssociativeCache::flush() {
-  for (Line& line : lines_) line.valid = false;
-}
-
 bool SetAssociativeCache::contains(std::uint64_t address) const {
   const std::size_t set = set_of(address);
   const std::uint64_t tag = tag_of(address);

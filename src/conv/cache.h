@@ -45,9 +45,6 @@ class SetAssociativeCache {
   [[nodiscard]] const CacheStats& stats() const { return stats_; }
   void reset_stats() { stats_ = {}; }
 
-  /// Drop all lines (cold restart), keeping statistics.
-  void flush();
-
   /// True if the line containing `address` is resident.
   [[nodiscard]] bool contains(std::uint64_t address) const;
 

@@ -8,8 +8,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "common/rng.h"
-
 namespace memcim {
 
 struct MemoryAccess {
@@ -34,14 +32,5 @@ class MemoryTrace {
  private:
   std::vector<MemoryAccess> accesses_;
 };
-
-/// Sequential scan of `bytes` bytes in `stride`-byte steps from `base`.
-[[nodiscard]] MemoryTrace sequential_trace(std::uint64_t base,
-                                           std::uint64_t bytes,
-                                           std::uint64_t stride = 8);
-
-/// Uniformly random accesses across a `bytes`-sized region.
-[[nodiscard]] MemoryTrace random_trace(std::uint64_t base, std::uint64_t bytes,
-                                       std::size_t count, Rng& rng);
 
 }  // namespace memcim

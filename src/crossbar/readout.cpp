@@ -120,32 +120,6 @@ MultistageReadResult multistage_read_bit(CrossbarArray& array, std::size_t r,
   return result;
 }
 
-ProgramVerifyResult program_verify_write(CrossbarArray& array, std::size_t r,
-                                         std::size_t c, bool bit,
-                                         const WriteConfig& write_config,
-                                         const ReadConfig& read_config,
-                                         const ReadMeasurement& reference,
-                                         std::size_t max_pulses) {
-  MEMCIM_CHECK(max_pulses >= 1);
-  ProgramVerifyResult result;
-  const Energy e_before = array.total_device_energy();
-  for (std::size_t pulse = 0; pulse < max_pulses; ++pulse) {
-    ++result.verify_reads;
-    if (read_bit(array, r, c, read_config, reference) == bit) {
-      result.success = true;
-      break;
-    }
-    (void)write_bit(array, r, c, bit, write_config);
-    ++result.write_pulses;
-  }
-  if (!result.success) {
-    ++result.verify_reads;
-    result.success = read_bit(array, r, c, read_config, reference) == bit;
-  }
-  result.array_energy = array.total_device_energy() - e_before;
-  return result;
-}
-
 double calibrate_multistage_threshold(CrossbarArray& array,
                                       const ReadConfig& config,
                                       const WriteConfig& write_config) {
@@ -173,18 +147,6 @@ std::vector<MarginPoint> margin_vs_size(const Device& prototype,
     points.push_back({n, meas.margin, meas.on_off_ratio});
   }
   return points;
-}
-
-std::size_t max_array_size(const Device& prototype,
-                           const CrossbarConfig& base_config,
-                           const ReadConfig& read,
-                           const std::vector<std::size_t>& sizes,
-                           double min_margin) {
-  std::size_t best = 0;
-  for (const MarginPoint& p :
-       margin_vs_size(prototype, base_config, read, sizes))
-    if (p.margin >= min_margin) best = std::max(best, p.size);
-  return best;
 }
 
 }  // namespace memcim

@@ -76,23 +76,6 @@ struct WriteResult {
                                     std::size_t c, bool bit,
                                     const WriteConfig& config);
 
-/// Outcome of a program-and-verify transaction.
-struct ProgramVerifyResult {
-  bool success = false;
-  std::size_t write_pulses = 0;  ///< pulses actually issued
-  std::size_t verify_reads = 0;
-  Energy array_energy{0.0};
-};
-
-/// Closed-loop write: pulse, sense, repeat until the cell verifies (or
-/// `max_pulses` is exhausted) — the standard ReRAM programming scheme
-/// that tolerates weak pulses and cycle-to-cycle variation where the
-/// open-loop write_bit() silently under-programs.
-[[nodiscard]] ProgramVerifyResult program_verify_write(
-    CrossbarArray& array, std::size_t r, std::size_t c, bool bit,
-    const WriteConfig& write_config, const ReadConfig& read_config,
-    const ReadMeasurement& reference, std::size_t max_pulses = 16);
-
 /// Result of a multistage (self-referenced) read — the Zidan-style
 /// technique of paper ref [80]: sense the cell, rewrite it to a known
 /// state, sense again, decide from the *relative* drop, then restore.
@@ -138,13 +121,5 @@ struct MarginPoint {
 [[nodiscard]] std::vector<MarginPoint> margin_vs_size(
     const Device& prototype, const CrossbarConfig& base_config,
     const ReadConfig& read, const std::vector<std::size_t>& sizes);
-
-/// Largest N in `sizes` whose worst-case margin stays above
-/// `min_margin`; 0 if none qualifies.
-[[nodiscard]] std::size_t max_array_size(const Device& prototype,
-                                         const CrossbarConfig& base_config,
-                                         const ReadConfig& read,
-                                         const std::vector<std::size_t>& sizes,
-                                         double min_margin);
 
 }  // namespace memcim

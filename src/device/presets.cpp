@@ -16,18 +16,6 @@ VcmParams vcm_taox() {
   return p;
 }
 
-VcmParams vcm_hfox() {
-  VcmParams p;
-  p.g_on = 1.0 / 25.0_kohm;
-  p.g_off = 1.0 / 50.0_Mohm;
-  p.v_th_set = 0.9_V;
-  p.v_th_reset = -1.0_V;
-  p.v_write = 2.2_V;
-  p.t_switch = 10.0_ns;  // ref [41]: "nanosecond switching"
-  p.kinetics_v0 = 0.2_V;
-  return p;
-}
-
 VcmParams vcm_taox_logic() {
   VcmParams p = vcm_taox();
   p.kinetics_v0 = 0.10_V;

@@ -16,10 +16,6 @@ namespace memcim::presets {
 /// whose write time anchors the CIM step time of Table 1.
 [[nodiscard]] VcmParams vcm_taox();
 
-/// HfOx-class VCM at 10 nm feature size (paper ref [62]); slightly
-/// slower, higher OFF/ON ratio (ref [46]).
-[[nodiscard]] VcmParams vcm_hfox();
-
 /// TaOx VCM tuned for stateful (IMPLY) logic: abrupt filamentary
 /// conductance (shape 8), snap-to-completion, steep kinetics — the
 /// properties Kvatinsky et al. (paper ref [58]) require so a

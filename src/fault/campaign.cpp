@@ -17,6 +17,7 @@
 #include "telemetry/telemetry.h"
 #include "workloads/dna.h"
 #include "workloads/parallel_add.h"
+#include "workloads/sharded.h"
 
 namespace memcim {
 
@@ -68,18 +69,6 @@ std::uint64_t random_operand(Rng& rng, std::size_t bits) {
   const std::uint64_t max = (std::uint64_t{1} << bits) - 1;
   return static_cast<std::uint64_t>(
       rng.uniform_int(0, static_cast<std::int64_t>(max)));
-}
-
-/// 2-bit LSB-first encoding of a k-mer for CAM storage.
-std::vector<bool> encode_kmer(const std::string& kmer) {
-  std::vector<bool> bits;
-  bits.reserve(2 * kmer.size());
-  for (const char c : kmer) {
-    const auto code = static_cast<std::uint8_t>(nucleotide_from_char(c));
-    bits.push_back((code & 1u) != 0);
-    bits.push_back((code & 2u) != 0);
-  }
-  return bits;
 }
 
 }  // namespace
@@ -332,7 +321,7 @@ CampaignTally run_dna_campaign(const CampaignConfig& config, double rate) {
   cam_config.cell = presets::crs_cell();
   CrsCam cam(cam_config);
   for (std::size_t pos = 0; pos < windows; ++pos)
-    cam.write_row(pos, encode_kmer(genome.substr(pos, config.dna_k)));
+    cam.write_row(pos, encode_kmer(genome, pos, config.dna_k));
 
   FaultPlan plan = FaultPlan::draw(windows * cam_config.word_bits,
                                    derive(config.seed, 0xD7AF, rate),
@@ -348,7 +337,7 @@ CampaignTally run_dna_campaign(const CampaignConfig& config, double rate) {
     std::vector<std::size_t> expected;
     for (std::size_t w = 0; w < windows; ++w)
       if (genome.compare(w, config.dna_k, read) == 0) expected.push_back(w);
-    const CamSearchResult got = cam.search(encode_kmer(read));
+    const CamSearchResult got = cam.search(encode_kmer(read, 0, read.size()));
     tally.diff.add(got.matching_rows == expected ? DiffOutcome::kClean
                                                  : DiffOutcome::kSilent);
   }

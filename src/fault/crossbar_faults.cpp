@@ -56,17 +56,6 @@ CrossbarFaultSummary apply_fault_plan(CrossbarArray& array,
       });
 }
 
-CrossbarFaultSummary apply_fault_plan(CrsMemory& memory,
-                                      const FaultPlan& plan) {
-  const std::size_t cols = memory.cols();
-  return walk(
-      plan, memory.rows() * cols,
-      [&](std::size_t site, bool lrs) {
-        memory.inject_stuck(site / cols, site % cols, lrs);
-      },
-      [](std::size_t, double) {});  // behavioural cells carry no analog state
-}
-
 CrossbarFaultSummary apply_fault_plan(EccCrsMemory& memory,
                                       const FaultPlan& plan) {
   return walk(

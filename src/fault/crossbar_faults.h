@@ -36,10 +36,6 @@ struct CrossbarFaultSummary {
 CrossbarFaultSummary apply_fault_plan(CrossbarArray& array,
                                       const FaultPlan& plan);
 
-/// Pin stuck CRS cells in a behavioural memory bank.
-CrossbarFaultSummary apply_fault_plan(CrsMemory& memory,
-                                      const FaultPlan& plan);
-
 /// Pin stuck cells in a SECDED bank (site = row * 13 + codeword bit).
 CrossbarFaultSummary apply_fault_plan(EccCrsMemory& memory,
                                       const FaultPlan& plan);

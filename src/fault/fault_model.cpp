@@ -72,19 +72,6 @@ std::optional<bool> FaultPlan::stuck_bit(std::size_t site) const {
   return s != nullptr ? s->stuck : std::nullopt;
 }
 
-bool FaultPlan::is_armed(std::size_t site, FaultKind kind) const {
-  const Site* s = find(site);
-  if (s == nullptr) return false;
-  switch (kind) {
-    case FaultKind::kStuckAtLrs: return s->stuck == true;
-    case FaultKind::kStuckAtHrs: return s->stuck == false;
-    case FaultKind::kWriteFail: return s->write_fail_prob > 0.0;
-    case FaultKind::kDrift: return s->drift > 0.0;
-    case FaultKind::kReadDisturb: return s->read_disturb_prob > 0.0;
-  }
-  return false;
-}
-
 double FaultPlan::drift_at(std::size_t site) const {
   const Site* s = find(site);
   return s != nullptr ? s->drift : 0.0;

@@ -79,7 +79,6 @@ class FaultPlan {
   // -- per-site queries (sites outside the population are fault-free) -------
   /// Pinned logic value of a stuck site; nullopt when not stuck.
   [[nodiscard]] std::optional<bool> stuck_bit(std::size_t site) const;
-  [[nodiscard]] bool is_armed(std::size_t site, FaultKind kind) const;
   /// Drift displacement toward 0.5 at this site (0 when unarmed).
   [[nodiscard]] double drift_at(std::size_t site) const;
 
@@ -87,8 +86,8 @@ class FaultPlan {
   [[nodiscard]] bool write_fails(std::size_t site);
   [[nodiscard]] bool read_disturbed(std::size_t site);
 
-  /// Order-independent digest of the armed set — the reproducibility
-  /// witness used by tests and BENCH_faults.json.
+  /// Order-independent digest of the armed set — the witness the
+  /// reproducibility tests compare plans through.
   [[nodiscard]] std::uint64_t fingerprint() const;
 
  private:

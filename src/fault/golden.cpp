@@ -1,7 +1,5 @@
 #include "fault/golden.h"
 
-#include "common/error.h"
-
 namespace memcim {
 
 const char* to_string(DiffOutcome o) {
@@ -22,52 +20,6 @@ void DiffTally::add(DiffOutcome outcome) {
     case DiffOutcome::kDetected: ++detected; break;
     case DiffOutcome::kSilent: ++silent; break;
   }
-}
-
-void DiffTally::merge(const DiffTally& other) {
-  trials += other.trials;
-  clean += other.clean;
-  corrected += other.corrected;
-  detected += other.detected;
-  silent += other.silent;
-}
-
-std::vector<bool> run_program_prefix(const CimProgram& program, Fabric& fabric,
-                                     const std::vector<bool>& inputs,
-                                     std::size_t length) {
-  // One replay core for goldens, the run_program* entry points, and the
-  // compiler's reference interpreter: all three go through
-  // replay_program_window, so their semantics cannot drift.
-  const Reg base = allocate_program_window(fabric, program.registers);
-  (void)replay_program_window(program, fabric, base, inputs, length);
-  std::vector<bool> state(program.registers);
-  for (std::size_t i = 0; i < program.registers; ++i)
-    state[i] = fabric.read(base + i);
-  return state;
-}
-
-std::optional<std::size_t> minimal_failing_prefix(
-    const CimProgram& program, const std::vector<bool>& inputs,
-    const FabricFactory& make_reference, const FabricFactory& make_subject) {
-  for (std::size_t length = 0; length <= program.length(); ++length) {
-    const auto ref_fabric = make_reference();
-    const auto sub_fabric = make_subject();
-    MEMCIM_CHECK_MSG(ref_fabric && sub_fabric, "fabric factory returned null");
-    const std::vector<bool> ref =
-        run_program_prefix(program, *ref_fabric, inputs, length);
-    const std::vector<bool> sub =
-        run_program_prefix(program, *sub_fabric, inputs, length);
-    if (ref != sub) return length;
-  }
-  return std::nullopt;
-}
-
-DiffOutcome diff_program_run(const CimProgram& program,
-                             const std::vector<bool>& inputs,
-                             Fabric& reference, Fabric& subject) {
-  const bool expect = run_program(program, reference, inputs);
-  const bool got = run_program(program, subject, inputs);
-  return expect == got ? DiffOutcome::kClean : DiffOutcome::kSilent;
 }
 
 }  // namespace memcim

@@ -1,4 +1,4 @@
-// Golden-model differential harness.
+// Golden-model differential outcomes.
 //
 // Every reliability claim in this subsystem is measured the same way:
 // run the identical computation on a *golden* substrate (ideal
@@ -17,13 +17,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
-#include <memory>
-#include <optional>
-#include <vector>
-
-#include "logic/fabric.h"
-#include "logic/program.h"
 
 namespace memcim {
 
@@ -45,41 +38,11 @@ struct DiffTally {
   std::uint64_t silent = 0;
 
   void add(DiffOutcome outcome);
-  void merge(const DiffTally& other);
   [[nodiscard]] double silent_fraction() const {
     return trials == 0 ? 0.0
                        : static_cast<double>(silent) /
                              static_cast<double>(trials);
   }
 };
-
-/// Replay the first `length` instructions of `program` on `fabric`
-/// (fresh register window, inputs loaded first) and return the full
-/// register-file state — the observable the shrinker compares.
-[[nodiscard]] std::vector<bool> run_program_prefix(
-    const CimProgram& program, Fabric& fabric,
-    const std::vector<bool>& inputs, std::size_t length);
-
-/// Factory for a fabric under test; called once per prefix replay so
-/// each run starts from power-on state.
-using FabricFactory = std::function<std::unique_ptr<Fabric>()>;
-
-/// Divergence shrinking: the smallest prefix length L (0 ≤ L ≤
-/// program length, L = 0 meaning the input load alone) after which the
-/// reference and subject register files already differ — i.e. the
-/// first instruction that matters to the failure.  nullopt when the
-/// full program agrees.  Linear scan from the shortest prefix, so the
-/// result is exactly the minimal failing prefix even when later
-/// instructions would re-mask the divergence.
-[[nodiscard]] std::optional<std::size_t> minimal_failing_prefix(
-    const CimProgram& program, const std::vector<bool>& inputs,
-    const FabricFactory& make_reference, const FabricFactory& make_subject);
-
-/// One differential program run: golden fabric vs subject fabric,
-/// classified on the final output bit (kClean / kSilent — raw fabrics
-/// have no detection channel).
-[[nodiscard]] DiffOutcome diff_program_run(const CimProgram& program,
-                                           const std::vector<bool>& inputs,
-                                           Fabric& reference, Fabric& subject);
 
 }  // namespace memcim

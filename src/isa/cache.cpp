@@ -47,8 +47,6 @@ std::size_t ProgramKeyHash::operator()(const ProgramKey& key) const {
 
 std::uint64_t fabric_signature(const CompileOptions& options) {
   std::uint64_t hash = kFnvOffset;
-  hash = fnv_mix(hash, options.set_step_cost);
-  hash = fnv_mix(hash, options.imply_step_cost);
   hash = fnv_mix(hash,
                  std::bit_cast<std::uint64_t>(options.cost.t_step.value()));
   hash = fnv_mix(hash,

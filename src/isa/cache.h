@@ -38,9 +38,9 @@ struct ProgramKeyHash {
   [[nodiscard]] std::size_t operator()(const ProgramKey& key) const;
 };
 
-/// FNV-1a fingerprint of the compile options' cost quanta (step costs
-/// and the Table 1 time/energy quanta), so programs compiled for
-/// IdealFabric and CrsFabric never collide.
+/// FNV-1a fingerprint of the compile options' cost quanta (the Table 1
+/// time and energy quanta), so programs compiled for different cost
+/// models never collide.
 [[nodiscard]] std::uint64_t fabric_signature(const CompileOptions& options);
 
 /// Thread-safe keyed cache of compiled programs.  `get_or_compile`

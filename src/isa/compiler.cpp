@@ -31,8 +31,6 @@ PackedRunOptions run_options_for(const CompileOptions& options,
                                  const PackedProgram& compiled) {
   PackedRunOptions run;
   run.cost = options.cost;
-  run.set_step_cost = options.set_step_cost;
-  run.imply_step_cost = options.imply_step_cost;
   run.block_grain = packing_block_grain(compiled);
   return run;
 }
@@ -41,6 +39,7 @@ PackedRunOptions run_options_for(const CompileOptions& options,
 
 CompiledProgram compile(const CimProgram& source,
                         const CompileOptions& options) {
+  check_logic_cost_model(options.cost);
   validate_program(source);
   CompiledProgram out;
   out.source = source;

@@ -21,13 +21,11 @@
 
 namespace memcim::isa {
 
-/// Cost quanta of the fabric the program will replay against.  These
-/// feed the cache key: programs compiled for different fabrics (e.g.
-/// CRS 2-step IMP) are distinct artifacts.
+/// Cost quanta of the fabric the program will replay against.  They
+/// feed the cache key: programs compiled for different cost models are
+/// distinct artifacts.
 struct CompileOptions {
   LogicCostModel cost{};
-  std::uint64_t set_step_cost = 1;
-  std::uint64_t imply_step_cost = 1;
 };
 
 struct CompiledProgram {

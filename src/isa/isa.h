@@ -1,65 +1,30 @@
-// The IMPLY ISA: a concrete binary format for CimProgram microcode.
+// The IMPLY ISA: the structural contract of CimProgram microcode.
 //
 // The paper's CMOS controller (Section III.A) replays stored microcode
 // against the crossbar; Splittgerber et al. (PAPERS.md) define an ISA
-// for exactly this IMPLY-based processing-in-array layer.  This module
-// pins our in-memory IR to a versioned wire format so programs can be
-// cached, shipped between controller and tiles, and round-tripped
-// through tooling:
+// for exactly this IMPLY-based processing-in-array layer.  Every
+// consumer of a program (the optimization passes, the compiler and the
+// packed engine) checks it against the same limits through
+// `validate_program`.
 //
-//   * `validate_program` — structural checks shared by every consumer,
-//   * `encode_program` / `decode_program` — 32-bit little-endian words,
-//   * `encode_program_bytes` / `decode_program_bytes` — byte stream.
-//
-// Instruction word layout (one u32 per instruction):
-//
-//   bits 31..28  opcode (0 = SET0, 1 = SET1, 2 = IMP)
-//   bits 27..14  register a (14 bits)
-//   bits 13..0   register b (14 bits, zero for SET0/SET1)
-//
-// The 14-bit register fields cap a program window at 16384 rows —
-// far above any recorded kernel (a 64-bit word-equality uses ~600) and
-// matching the paper's per-tile crossbar scale.
+// Register operands are 14 bits wide, which caps a program window at
+// 16384 rows — far above any recorded kernel (a 64-bit word-equality
+// uses ~600) and matching the paper's per-tile crossbar scale.
 #pragma once
 
-#include <cstdint>
-#include <vector>
+#include <cstddef>
 
 #include "logic/program.h"
 
 namespace memcim::isa {
 
-/// Wire-format magic ("MCIM") and current version.
-inline constexpr std::uint32_t kMagic = 0x4D43'494Du;
-inline constexpr std::uint32_t kVersion = 1;
-
 /// Hard ISA limit from the 14-bit register fields.
 inline constexpr std::size_t kMaxRegisters = std::size_t{1} << 14;
 
-/// Number of u32 header words before the output list.
-inline constexpr std::size_t kHeaderWords = 6;
-
-/// Structural validation shared by the encoder, the decoder, the
-/// assembler and every optimization pass: register window bounds,
-/// input arity, result registers in range, every instruction operand in
-/// range.  Throws Error with a diagnostic on the first violation.
+/// Structural validation shared by every optimization pass and the
+/// compiler: register window bounds, input arity, result registers in
+/// range, every instruction operand in range.  Throws Error with a
+/// diagnostic on the first violation.
 void validate_program(const CimProgram& program);
-
-/// Encode to 32-bit words: header (magic, version, registers, inputs,
-/// output count, instruction count), then the result registers, then
-/// one word per instruction.  Validates first.
-[[nodiscard]] std::vector<std::uint32_t> encode_program(
-    const CimProgram& program);
-
-/// Decode and validate a word stream produced by encode_program.
-/// Throws Error on a truncated, corrupt or out-of-range image.
-[[nodiscard]] CimProgram decode_program(
-    const std::vector<std::uint32_t>& words);
-
-/// Byte-stream flavour (little-endian u32s) for file/wire transport.
-[[nodiscard]] std::vector<std::uint8_t> encode_program_bytes(
-    const CimProgram& program);
-[[nodiscard]] CimProgram decode_program_bytes(
-    const std::vector<std::uint8_t>& bytes);
 
 }  // namespace memcim::isa

@@ -85,11 +85,6 @@ void CrsCam::write_row_ternary(std::size_t row,
                                transitions, absorbed);
 }
 
-void CrsCam::erase_row(std::size_t row) {
-  const Slot s = slot(row);
-  packed_valid_[s.block] &= ~s.bit;
-}
-
 std::vector<CamBit> CrsCam::read_row(std::size_t row) const {
   const Slot s = slot(row);
   MEMCIM_CHECK_MSG((packed_valid_[s.block] & s.bit) != 0,
@@ -162,12 +157,6 @@ void CrsCam::inject_stuck(std::size_t row, std::size_t bit, bool stuck_one) {
   packed_stuck_[w] |= s.bit;
   packed_value_[w] =
       stuck_one ? (packed_value_[w] | s.bit) : (packed_value_[w] & ~s.bit);
-}
-
-std::optional<std::size_t> CrsCam::search_first(const std::vector<bool>& key) {
-  const CamSearchResult result = search(key);
-  if (result.matching_rows.empty()) return std::nullopt;
-  return result.matching_rows.front();
 }
 
 }  // namespace memcim

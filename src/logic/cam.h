@@ -15,7 +15,7 @@
 // that column's bit of each row — the value plane (the value cell holds
 // '1'), the care plane (the mask cell holds '1', so the bit
 // participates), and the stuck plane (the value cell is pinned).  One
-// valid word per block gates erased rows.  The CAM only ever writes its
+// valid word per block gates rows never written.  The CAM only ever writes its
 // cells (a search senses the match lines, never a cell read pulse), so
 // a cell rests in '0' or '1' and every full-amplitude write pulse
 // switches a free cell outright.  A row write is therefore booked once
@@ -31,7 +31,6 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <vector>
 
 #include "common/quantum_sum.h"
@@ -74,19 +73,11 @@ class CrsCam {
   void write_row(std::size_t row, const std::vector<bool>& word);
   /// Program a row with a ternary word (don't-cares allowed).
   void write_row_ternary(std::size_t row, const std::vector<CamBit>& word);
-  /// Invalidate a row: it matches nothing until rewritten.  Its cells
-  /// keep their states, so a rewrite books against them.
-  void erase_row(std::size_t row);
-
   [[nodiscard]] std::vector<CamBit> read_row(std::size_t row) const;
 
   /// Parallel search: every valid row whose word matches `key` under
   /// the ternary rules.
   [[nodiscard]] CamSearchResult search(const std::vector<bool>& key);
-
-  /// First matching row, if any (priority encoder behaviour).
-  [[nodiscard]] std::optional<std::size_t> search_first(
-      const std::vector<bool>& key);
 
   /// Fault injection: pin the value cell at (row, bit) stuck at logic
   /// `stuck_one`, with no pulse and no book, as force_stuck does to a

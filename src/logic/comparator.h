@@ -33,7 +33,7 @@ struct ComparatorCost {
 [[nodiscard]] Reg paper_comparator(Fabric& f, Reg a1, Reg a0, Reg b1, Reg b0);
 
 /// out = (a1 == b1) ∧ (a0 == b0) = NOR(a1 ⊕ b1, a0 ⊕ b0): a true 2-bit
-/// equality comparator (used by the functional DNA pipeline).
+/// equality comparator (bench_fig5_imply prints both truth tables).
 [[nodiscard]] Reg equality_comparator(Fabric& f, Reg a1, Reg a0, Reg b1,
                                       Reg b0);
 

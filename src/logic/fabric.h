@@ -104,9 +104,16 @@ struct LogicCostModel {
   Energy e_write{1e-15};     ///< dynamic energy per device write
 };
 
+/// Throws Error unless t_step is finite and positive and e_write is
+/// finite and not negative.  Every consumer of a cost model (each
+/// Fabric, CimTile, isa::compile) checks it on construction.
+void check_logic_cost_model(const LogicCostModel& cost);
+
 class Fabric {
  public:
-  explicit Fabric(const LogicCostModel& cost = {}) : cost_(cost) {}
+  explicit Fabric(const LogicCostModel& cost = {}) : cost_(cost) {
+    check_logic_cost_model(cost_);
+  }
   Fabric(const Fabric&) = default;
   Fabric& operator=(const Fabric&) = default;
   virtual ~Fabric() = default;

@@ -209,16 +209,15 @@ PackedRunResult run_program_packed(const PackedProgram& compiled,
   }
 
   // Cost books, reconciled to what a scalar run_program_simd would have
-  // accrued for the same program on a cost-model backend with these
-  // step quanta (every window executes the identical stream, so totals
-  // are exact multiples of the per-window counts).
+  // accrued for the same program on an IdealFabric with this cost model
+  // (every window executes the identical stream, so totals are exact
+  // multiples of the per-window counts).
   const std::uint64_t w64 = static_cast<std::uint64_t>(windows);
   const std::uint64_t sets_pw =
       static_cast<std::uint64_t>(compiled.inputs) + compiled.sets_per_window;
   const std::uint64_t writes_pw = sets_pw + compiled.implies_per_window;
-  const std::uint64_t steps_pw = sets_pw * options.set_step_cost +
-                                 compiled.implies_per_window *
-                                     options.imply_step_cost;
+  // Every instruction is one step: the engine mirrors IdealFabric.
+  const std::uint64_t steps_pw = writes_pw;
   result.steps_per_window = steps_pw;
   result.writes = w64 * writes_pw;
   result.latency = options.cost.t_step * static_cast<double>(steps_pw);
@@ -269,13 +268,6 @@ PackedRunResult run_program_packed(
       if (input_sets[w][i]) block[i] |= lane;
   }
   return run_program_packed(compiled, input_sets.size(), lane_words, options);
-}
-
-PackedRunResult run_program_packed(
-    const CimProgram& program,
-    const std::vector<std::vector<bool>>& input_sets,
-    const PackedRunOptions& options) {
-  return run_program_packed(compile_program(program), input_sets, options);
 }
 
 }  // namespace memcim

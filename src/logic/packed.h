@@ -24,9 +24,9 @@
 // count.  Differential tests in tests/logic/packed_program_test.cpp
 // hold the two paths bit-identical.
 //
-// The engine models the *cost-model* fabrics only (boolean semantics
-// with configurable step quanta, mirroring IdealFabric and the
-// CrsFabric 2-step IMP).  Fault hooks and device-accurate runs stay on
+// The engine models the ideal cost-model fabric only (boolean
+// semantics, one step per instruction, mirroring IdealFabric).  The
+// CrsFabric 2-step IMP, fault hooks and device-accurate runs stay on
 // the scalar path — see docs/LOGIC.md for the fallback rules.
 #pragma once
 
@@ -68,13 +68,10 @@ struct PackedProgram {
 /// per-window cost totals.  Throws Error on a malformed program.
 [[nodiscard]] PackedProgram compile_program(const CimProgram& program);
 
-/// Execution options: the cost quanta of the scalar backend being
-/// mirrored.  Defaults model IdealFabric; set imply_step_cost = 2 to
-/// mirror CrsFabric's init+operate IMP.
+/// Execution options: the cost quanta of the IdealFabric being mirrored
+/// (one step per instruction).
 struct PackedRunOptions {
   LogicCostModel cost{};
-  std::uint64_t set_step_cost = 1;
-  std::uint64_t imply_step_cost = 1;
   /// Lane blocks per thread-pool task.  Short programs amortize task
   /// dispatch over several blocks; long programs keep grain 1 for load
   /// balance.  The compiler's window-packing pass picks this — see
@@ -111,8 +108,8 @@ struct PackedRunResult {
 /// them over without a per-window copy.  `compiled` must come from
 /// compile_program, which validated every register index the replay
 /// loop then uses unchecked.  Bitwise equivalent to
-/// run_program_simd on a scalar cost-model backend with the same step
-/// quanta: identical outputs, latency, energy, writes, and fabric.* /
+/// run_program_simd on an IdealFabric with the same cost model:
+/// identical outputs, latency, energy, writes, and fabric.* /
 /// program.* telemetry tallies.
 [[nodiscard]] PackedRunResult run_program_packed(
     const PackedProgram& compiled, std::size_t windows,
@@ -123,12 +120,6 @@ struct PackedRunResult {
 /// window: transposes them into lane words for the form above.
 [[nodiscard]] PackedRunResult run_program_packed(
     const PackedProgram& compiled,
-    const std::vector<std::vector<bool>>& input_sets,
-    const PackedRunOptions& options = {});
-
-/// Convenience: compile + run in one call.
-[[nodiscard]] PackedRunResult run_program_packed(
-    const CimProgram& program,
     const std::vector<std::vector<bool>>& input_sets,
     const PackedRunOptions& options = {});
 

@@ -7,7 +7,7 @@ namespace memcim {
 
 namespace {
 
-/// Telemetry-booking full replay used by the run_program* entry points.
+/// Telemetry-booking full replay of one window.
 void replay(const CimProgram& program, Fabric& fabric, Reg base,
             const std::vector<bool>& inputs) {
   const std::uint64_t implies =
@@ -67,24 +67,6 @@ std::uint64_t replay_program_window(const CimProgram& program, Fabric& fabric,
                                     const std::vector<bool>& inputs) {
   return replay_program_window(program, fabric, base, inputs,
                                program.length());
-}
-
-bool run_program(const CimProgram& program, Fabric& fabric,
-                 const std::vector<bool>& inputs) {
-  const Reg base = allocate_program_window(fabric, program.registers);
-  replay(program, fabric, base, inputs);
-  return fabric.read(base + program.output);
-}
-
-std::vector<bool> run_program_wide(const CimProgram& program, Fabric& fabric,
-                                   const std::vector<bool>& inputs) {
-  const Reg base = allocate_program_window(fabric, program.registers);
-  replay(program, fabric, base, inputs);
-  const std::vector<Reg> outs = result_registers(program);
-  std::vector<bool> bits;
-  bits.reserve(outs.size());
-  for (const Reg r : outs) bits.push_back(fabric.read(base + r));
-  return bits;
 }
 
 SimdRunResult run_program_simd(

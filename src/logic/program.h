@@ -8,7 +8,7 @@
 //
 //   * `RecordingFabric` captures the set/imply stream a gate-library
 //     computation emits, producing a `CimProgram`,
-//   * `run_program` replays a program on any backend fabric,
+//   * `replay_program_window` replays a program on any backend fabric,
 //   * `run_program_simd` replays it across W independent register
 //     windows ("rows"): one program's latency, W× the writes — the
 //     massive-parallelism execution model of the CIM array.
@@ -146,11 +146,11 @@ template <typename Body>
 
 /// The shared IR replay core: load `inputs` into the window at `base`,
 /// then execute the first `length` instructions.  Books NO program.*
-/// telemetry (fabric.* accrues as usual through the Fabric calls) — the
-/// run_program* wrappers layer telemetry on top, and fault goldens /
-/// the compiler's reference interpreter replay prefixes through this
-/// same switch so the two can never drift.  Returns the number of
-/// kImply pulses executed.
+/// telemetry (fabric.* accrues as usual through the Fabric calls) —
+/// run_program_simd layers telemetry on top, and the test-side goldens
+/// (tests/support/program_golden.h) replay prefixes through this same
+/// switch so the two can never drift.  Returns the number of kImply
+/// pulses executed.
 std::uint64_t replay_program_window(const CimProgram& program, Fabric& fabric,
                                     Reg base, const std::vector<bool>& inputs,
                                     std::size_t length);
@@ -158,17 +158,6 @@ std::uint64_t replay_program_window(const CimProgram& program, Fabric& fabric,
 /// Full-length convenience overload.
 std::uint64_t replay_program_window(const CimProgram& program, Fabric& fabric,
                                     Reg base, const std::vector<bool>& inputs);
-
-/// Replay a program on `fabric` with the given operand bits; registers
-/// are allocated at a fresh window.  Returns the output bit.
-[[nodiscard]] bool run_program(const CimProgram& program, Fabric& fabric,
-                               const std::vector<bool>& inputs);
-
-/// Replay a program and read every result register (see
-/// `result_registers`).  Multi-output analogue of `run_program`.
-[[nodiscard]] std::vector<bool> run_program_wide(
-    const CimProgram& program, Fabric& fabric,
-    const std::vector<bool>& inputs);
 
 struct SimdRunResult {
   std::vector<bool> outputs;  ///< one per window

@@ -402,32 +402,4 @@ void MeshNoc::set_link_fault(std::size_t link, std::size_t wire,
   link_faults_[link].push_back({wire, stuck_one});
 }
 
-void MeshNoc::record_telemetry() const {
-  if (!telemetry::enabled()) return;
-  telemetry::Registry& reg = telemetry::Registry::global();
-  reg.counter("noc.packets").add(stats_.packets);
-  reg.counter("noc.flits").add(stats_.flits);
-  reg.counter("noc.hops").add(stats_.flit_hops);
-  reg.counter("noc.ejections").add(stats_.ejections);
-  reg.counter("noc.buffer_writes").add(stats_.buffer_writes);
-  reg.counter("noc.buffer_reads").add(stats_.buffer_reads);
-  reg.counter("noc.xbar_traversals").add(stats_.xbar_traversals);
-  reg.counter("noc.credit_stalls").add(stats_.credit_stalls);
-  reg.counter("noc.cycles").add(stats_.cycles);
-  reg.counter("noc.energy_aj")
-      .add(static_cast<std::uint64_t>(dynamic_energy().value() * 1e18));
-
-  telemetry::Histogram& link_hist = reg.histogram(
-      "noc.link.utilization_pct",
-      {5.0, 10.0, 20.0, 30.0, 40.0, 50.0, 60.0, 70.0, 80.0, 90.0, 100.0});
-  for (const NocLinkUse& use : link_utilization())
-    link_hist.record(use.utilization * 100.0);
-
-  telemetry::Histogram& latency_hist =
-      reg.histogram("noc.packet.latency_cycles",
-                    telemetry::exponential_bounds(1.0, 2.0, 14));
-  for (const NocDelivery& d : deliveries_)
-    if (d.done) latency_hist.record(static_cast<double>(d.latency()));
-}
-
 }  // namespace memcim

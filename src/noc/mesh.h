@@ -144,11 +144,6 @@ class MeshNoc {
   /// the link whose data disagrees gets that bit flipped.
   void set_link_fault(std::size_t link, std::size_t wire, bool stuck_one);
 
-  /// Record noc.link.utilization_pct / noc.packet.latency histograms
-  /// and fabric-facing counters for the run so far.  Split out of
-  /// run_to_completion so multi-phase callers export once.
-  void record_telemetry() const;
-
  private:
   struct Flit {
     std::size_t packet = 0;  ///< handle

@@ -1,5 +1,5 @@
-// Seeded request-trace generation, the scalar (batch-of-1) reference
-// executor, and the trace shrinker — the serving test/bench kit.
+// Seeded request-trace generation and the scalar (batch-of-1)
+// reference executor — the serving test/bench kit.
 //
 // generate_trace draws an open-loop Poisson arrival process (seeded
 // mt19937_64 → bitwise reproducible): exponential interarrival gaps,
@@ -7,18 +7,10 @@
 // same trace replayed through WorkloadService::run is the soak/bench
 // driver; replayed request-by-request through scalar_reference it is
 // the golden model the batched responses must match bitwise.
-//
-// minimal_failing_trace_prefix is the property-test shrinker: the
-// shortest trace prefix on which a predicate already fails (the same
-// linear-scan discipline as fault/golden.h's minimal_failing_prefix),
-// so a 200-request property failure reports as the few requests that
-// actually matter.
 #pragma once
 
 #include <array>
 #include <cstdint>
-#include <functional>
-#include <optional>
 #include <vector>
 
 #include "common/rng.h"
@@ -59,13 +51,5 @@ struct TraceParams {
     const std::vector<std::vector<bool>>& kmer_database,
     const std::vector<std::vector<bool>>& cam_rows,
     const std::vector<Request>& trace);
-
-/// Smallest prefix length L (1 ≤ L ≤ trace size) for which
-/// `holds(prefix)` is already false; nullopt when the property holds
-/// on every prefix (including the full trace).  Linear scan from the
-/// shortest prefix — the exact minimum, like fault/golden.h.
-[[nodiscard]] std::optional<std::size_t> minimal_failing_trace_prefix(
-    const std::vector<Request>& trace,
-    const std::function<bool(const std::vector<Request>&)>& holds);
 
 }  // namespace memcim::serving

@@ -92,8 +92,6 @@ TraceContextScope::TraceContextScope(TraceContext ctx)
 
 TraceContextScope::~TraceContextScope() { t_trace_context = prev_; }
 
-std::uint32_t current_tile() { return t_current_tile; }
-
 TileScope::TileScope(std::uint32_t tile) : prev_(t_current_tile) {
   t_current_tile = tile;
 }
@@ -184,20 +182,6 @@ double HistogramSample::percentile(double q) const {
     }
   }
   return max;  // unreachable when bucket_counts sums to count
-}
-
-bool HistogramSample::merge(const HistogramSample& other) {
-  if (upper_bounds != other.upper_bounds ||
-      bucket_counts.size() != other.bucket_counts.size())
-    return false;
-  for (std::size_t i = 0; i < bucket_counts.size(); ++i)
-    bucket_counts[i] += other.bucket_counts[i];
-  count += other.count;
-  if (other.count > 0) {
-    min = count == other.count ? other.min : std::min(min, other.min);
-    max = count == other.count ? other.max : std::max(max, other.max);
-  }
-  return true;
 }
 
 bool MetricsSnapshot::delta(const MetricsSnapshot& earlier,

@@ -131,9 +131,6 @@ class TraceContextScope {
 /// "Not executing on behalf of any tile" marker for span/trace events.
 inline constexpr std::uint32_t kNoTile = 0xFFFFFFFFu;
 
-/// The tile id spans closed on this thread are attributed to.
-[[nodiscard]] std::uint32_t current_tile();
-
 /// Tag the calling thread as executing tile `tile`'s work for the
 /// scope's lifetime (sharded workloads wrap per-shard compute in one);
 /// trace events carry the tag so Perfetto can group spans by tile.
@@ -280,11 +277,6 @@ struct HistogramSample {
   [[nodiscard]] double p50() const { return percentile(50.0); }
   [[nodiscard]] double p95() const { return percentile(95.0); }
   [[nodiscard]] double p99() const { return percentile(99.0); }
-
-  /// Accumulate `other` into this sample (bucket-wise u64 adds,
-  /// min/max union).  Both samples must share identical bounds;
-  /// returns false (and leaves *this untouched) when they don't.
-  bool merge(const HistogramSample& other);
 };
 
 /// A point-in-time copy of every registered metric, sorted by name.

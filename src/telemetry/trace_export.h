@@ -5,9 +5,6 @@
 // The collected events export as Chrome trace JSON — load the file at
 // https://ui.perfetto.dev (or chrome://tracing) to see the solver,
 // thread-pool and workload spans on a per-thread timeline.
-//
-// The metrics side of the registry exports as a flat JSON document or
-// CSV via metrics_json()/metrics_csv().
 #pragma once
 
 #include <cstdint>
@@ -81,19 +78,5 @@ void stop_tracing();
 
 /// chrome_trace_json(collected_trace()) written to `path`.
 void write_chrome_trace(const std::string& path);
-
-/// Flat JSON document of a metrics snapshot:
-/// {"counters": {...}, "gauges": {...}, "histograms": {...}}.
-[[nodiscard]] std::string metrics_json(const MetricsSnapshot& snapshot);
-
-/// CSV (kind,name,value) rows of a metrics snapshot; histograms emit
-/// one row per bucket plus count/min/max rows.
-[[nodiscard]] std::string metrics_csv(const MetricsSnapshot& snapshot);
-
-/// metrics_json(Registry::global().snapshot()) written to `path`.
-void write_metrics_json(const std::string& path);
-
-/// metrics_csv(Registry::global().snapshot()) written to `path`.
-void write_metrics_csv(const std::string& path);
 
 }  // namespace memcim::telemetry

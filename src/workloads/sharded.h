@@ -1,9 +1,9 @@
-// Sharded execution of the three data-intensive workloads on the
+// Sharded execution of the paper's two data-intensive workloads on the
 // multi-tile fabric (arch/tile_fabric.h): the paper's Figure 2 scaled
 // out, with inter-tile traffic costed by the mesh NoC instead of
 // assumed free.
 //
-// Execution model (all three workloads):
+// Execution model (both workloads):
 //   * operands/database rows are *resident in the tiles* — the
 //     computation-in-memory premise — so the host only ships small
 //     command descriptors out and completion descriptors back;
@@ -27,7 +27,6 @@
 #include "arch/partitioner.h"
 #include "arch/tile_fabric.h"
 #include "common/rng.h"
-#include "logic/cam.h"
 #include "workloads/parallel_add.h"
 
 namespace memcim {
@@ -93,49 +92,5 @@ struct ShardedSearchResult {
 [[nodiscard]] ShardedSearchResult sharded_kmer_search(
     TileFabric& fabric, const std::vector<std::vector<bool>>& database,
     const std::vector<std::vector<bool>>& queries);
-
-// -- workload 3: the CAM bank (Section IV.C) ----------------------------------
-
-/// A bank of per-tile CRS CAMs behind the fabric: global rows fill
-/// tile-major (tile · rows_per_tile + local row), searches broadcast
-/// the key and merge per-tile hits in tile order.
-class ShardedCamBank {
- public:
-  ShardedCamBank(TileFabric& fabric, const CamConfig& per_tile);
-
-  [[nodiscard]] std::size_t rows() const {
-    return cams_.size() * per_tile_.rows;
-  }
-  [[nodiscard]] CrsCam& cam(std::size_t tile);
-
-  void write_row(std::size_t global_row, const std::vector<bool>& word);
-  void write_row_ternary(std::size_t global_row,
-                         const std::vector<CamBit>& word);
-  /// Pin the value cell at (global_row, bit) stuck — forwarded to the
-  /// owning tile's CAM (fault campaigns use global addressing).
-  void inject_stuck(std::size_t global_row, std::size_t bit, bool stuck_one);
-
-  struct BankSearchResult {
-    std::vector<std::size_t> matching_rows;  ///< global, ascending
-    ShardedRunStats run;
-  };
-  /// One search wave: broadcast key, match every tile concurrently,
-  /// replay traffic, merge hits.
-  [[nodiscard]] BankSearchResult search(const std::vector<bool>& key);
-
-  /// Σ of the per-tile CAM lifetime energies.
-  [[nodiscard]] Energy compute_energy() const;
-
- private:
-  struct Location {
-    std::size_t tile;
-    std::size_t row;
-  };
-  [[nodiscard]] Location locate(std::size_t global_row) const;
-
-  TileFabric& fabric_;
-  CamConfig per_tile_;
-  std::vector<CrsCam> cams_;
-};
 
 }  // namespace memcim

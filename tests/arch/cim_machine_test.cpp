@@ -63,22 +63,6 @@ TEST(CimMachine, SearchLatencyIsOneWavePlusDispatch) {
   EXPECT_GT(m4.energy().value(), 3.0 * m1.energy().value());
 }
 
-TEST(CimMachine, AddRowsWithinTile) {
-  CimMachine m(machine_cfg());
-  m.store(0, bits_of(1000, 16));
-  m.store(1, bits_of(2345, 16));
-  m.add_rows(0, 1, 2, 16);
-  EXPECT_EQ(m.load(2), bits_of(3345, 16));
-  EXPECT_EQ(m.stats().waves, 1u);
-}
-
-TEST(CimMachine, CrossTileAddRejected) {
-  CimMachine m(machine_cfg());
-  m.store(0, bits_of(1, 16));
-  m.store(8, bits_of(2, 16));  // different tile
-  EXPECT_THROW(m.add_rows(0, 8, 2, 16), Error);
-}
-
 TEST(CimMachine, StatsAccumulateAcrossWaves) {
   CimMachine m(machine_cfg());
   for (std::size_t r = 0; r < 32; ++r) m.store(r, bits_of(r, 16));
@@ -98,7 +82,6 @@ TEST(CimMachine, EnergyReconcilesWithTileBooks) {
   CimMachine m(machine_cfg());
   for (std::size_t r = 0; r < 32; ++r) m.store(r, bits_of(r * 7919u, 16));
   (void)m.search(bits_of(0x0F0F, 16));
-  m.add_rows(0, 1, 2, 16);
   // Bypass the machine: drive one tile directly between waves.
   (void)m.tile(2).parallel_compare(bits_of(0x5555, 16));
   (void)m.search(bits_of(0x3C3C, 16));
@@ -107,7 +90,7 @@ TEST(CimMachine, EnergyReconcilesWithTileBooks) {
   for (std::size_t ti = 0; ti < m.config().tiles; ++ti)
     tiles += m.tile(ti).stats().energy;
   EXPECT_EQ(m.tile_energy().value(), tiles.value());
-  const double dispatch = 3.0 * m.config().dispatch_energy.value();
+  const double dispatch = 2.0 * m.config().dispatch_energy.value();
   EXPECT_DOUBLE_EQ(m.dispatch_energy().value(), dispatch);
   EXPECT_EQ(m.energy().value(),
             (m.tile_energy() + m.dispatch_energy()).value());

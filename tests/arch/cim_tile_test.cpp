@@ -5,6 +5,7 @@
 #include "common/error.h"
 #include "common/rng.h"
 #include "device/presets.h"
+#include "logic/packed_adder.h"
 
 namespace memcim {
 namespace {
@@ -21,6 +22,36 @@ std::vector<bool> bits_of(std::uint64_t v, std::size_t n) {
   std::vector<bool> bits(n);
   for (std::size_t i = 0; i < n; ++i) bits[i] = (v >> i) & 1u;
   return bits;
+}
+
+/// Lane-wise dst ← a + b over tile rows on the production adder model:
+/// one PackedTcAdderFarm slot per `lane_bits`-wide lane (carry does not
+/// cross lanes), all lanes in one pass.
+struct RowAdd {
+  std::size_t lanes = 0;
+  Time latency{0.0};  ///< one farm pass
+};
+
+RowAdd add_rows_on_farm(CimTile& tile, std::size_t row_a, std::size_t row_b,
+                        std::size_t row_dst, std::size_t lane_bits) {
+  const std::size_t row_bits = tile.config().row_bits;
+  const std::size_t lanes = row_bits / lane_bits;
+  const std::vector<bool> a = tile.load_row(row_a);
+  const std::vector<bool> b = tile.load_row(row_b);
+  std::vector<std::uint64_t> a_lanes(lanes, 0), b_lanes(lanes, 0);
+  for (std::size_t lane = 0; lane < lanes; ++lane)
+    for (std::size_t i = 0; i < lane_bits; ++i) {
+      if (a[lane * lane_bits + i]) a_lanes[lane] |= std::uint64_t{1} << i;
+      if (b[lane * lane_bits + i]) b_lanes[lane] |= std::uint64_t{1} << i;
+    }
+  PackedTcAdderFarm farm(lanes, lane_bits, tile.config().cell);
+  const PackedAddOutcome out = farm.run(a_lanes, b_lanes);
+  std::vector<bool> dst(row_bits, false);
+  for (std::size_t lane = 0; lane < lanes; ++lane)
+    for (std::size_t i = 0; i < lane_bits; ++i)
+      dst[lane * lane_bits + i] = (out.sums[lane] >> i) & 1u;
+  tile.store_row(row_dst, dst);
+  return {out.sums.size(), farm.add_latency()};
 }
 
 TEST(CimTile, StoreLoadRoundTrip) {
@@ -73,7 +104,7 @@ TEST(CimTile, ParallelAddLaneWise) {
   const std::uint64_t a = 0x01020304, b = 0x10FF4060;
   tile.store_row(0, bits_of(a, 32));
   tile.store_row(1, bits_of(b, 32));
-  tile.parallel_add(0, 1, 2, 8);
+  (void)add_rows_on_farm(tile, 0, 1, 2, 8);
   // Lane-wise byte addition without carry across lanes.
   const std::uint64_t expect = ((0x01 + 0x10) & 0xFF) << 24 |
                                ((0x02 + 0xFF) & 0xFF) << 16 |
@@ -88,10 +119,11 @@ TEST(CimTile, AddStatsCountLanes) {
   CimTile tile(cfg);
   tile.store_row(0, bits_of(123456789, 64));
   tile.store_row(1, bits_of(987654321, 64));
-  tile.parallel_add(0, 1, 2, 32);  // 2 lanes
-  EXPECT_EQ(tile.stats().operations, 2u);
+  const RowAdd add = add_rows_on_farm(tile, 0, 1, 2, 32);  // 2 lanes
+  EXPECT_EQ(add.lanes, 2u);
   // Latency = one 32-bit TC-adder pass (lanes in parallel) = 133·200 ps.
-  EXPECT_NEAR(tile.stats().latency.value(), 26.6e-9, 1e-12);
+  EXPECT_NEAR(add.latency.value(), 26.6e-9, 1e-12);
+  EXPECT_EQ(tile.load_row(2), bits_of(123456789 + 987654321, 64));
 }
 
 TEST(CimTile, FullWidthAddMatchesIntegers) {
@@ -104,7 +136,7 @@ TEST(CimTile, FullWidthAddMatchesIntegers) {
     const auto b = static_cast<std::uint64_t>(rng.uniform_int(0, 1 << 30));
     tile.store_row(0, bits_of(a, 32));
     tile.store_row(1, bits_of(b, 32));
-    tile.parallel_add(0, 1, 2, 32);
+    (void)add_rows_on_farm(tile, 0, 1, 2, 32);
     EXPECT_EQ(tile.load_row(2), bits_of((a + b) & 0xFFFFFFFF, 32));
   }
 }
@@ -112,7 +144,6 @@ TEST(CimTile, FullWidthAddMatchesIntegers) {
 TEST(CimTile, Validation) {
   CimTile tile(small_tile());
   EXPECT_THROW((void)tile.parallel_compare(bits_of(0, 8)), Error);  // width
-  EXPECT_THROW(tile.parallel_add(0, 1, 2, 5), Error);  // 16 % 5 != 0
   EXPECT_THROW(tile.store_row(100, bits_of(0, 16)), Error);
   CimTileConfig bad;
   bad.rows = 0;

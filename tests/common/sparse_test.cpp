@@ -4,6 +4,7 @@
 
 #include "common/error.h"
 #include "common/rng.h"
+#include "support/dense_ops.h"
 
 namespace memcim {
 namespace {
@@ -14,7 +15,7 @@ TEST(Sparse, DuplicateTripletsAreSummed) {
   a.add(0, 0, 2.5);
   a.add(1, 1, 4.0);
   a.finalize();
-  EXPECT_EQ(a.nonzeros(), 2u);
+  EXPECT_EQ(a.values().size(), 2u);
   const auto d = a.diagonal();
   EXPECT_DOUBLE_EQ(d[0], 3.5);
   EXPECT_DOUBLE_EQ(d[1], 4.0);
@@ -34,7 +35,7 @@ TEST(Sparse, MultiplyMatchesDense) {
   std::vector<double> x(n);
   for (auto& v : x) v = rng.uniform(-1.0, 1.0);
   const auto ys = s.multiply(x);
-  const auto yd = d.multiply(x);
+  const auto yd = multiply(d, x);
   for (std::size_t i = 0; i < n; ++i) EXPECT_NEAR(ys[i], yd[i], 1e-12);
 }
 
@@ -53,7 +54,7 @@ TEST(Sparse, RequiresFinalizeBeforeUse) {
   SparseMatrix a(2, 2);
   a.add(0, 0, 1.0);
   EXPECT_THROW((void)a.multiply({1.0, 1.0}), Error);
-  EXPECT_THROW((void)a.nonzeros(), Error);
+  EXPECT_THROW((void)a.values(), Error);
 }
 
 TEST(Sparse, OutOfRangeAddThrows) {
@@ -145,13 +146,13 @@ TEST(Sparse, NumericRefreshIsBitwiseIdenticalToFreshAssembly) {
 
   for (int sweep = 0; sweep < 3; ++sweep) {
     reused.begin_update(base);
-    reused.add_to(0, 0, ga);
-    reused.add_to(0, 1, -ga);
-    reused.add_to(1, 0, -ga);
-    reused.add_to(1, 1, ga);
-    reused.add_to(1, 1, gb);
-    reused.add_to(2, 2, gb);
-    ASSERT_EQ(fresh.nonzeros(), reused.nonzeros());
+    reused.add_slot(reused.slot(0, 0), ga);
+    reused.add_slot(reused.slot(0, 1), -ga);
+    reused.add_slot(reused.slot(1, 0), -ga);
+    reused.add_slot(reused.slot(1, 1), ga);
+    reused.add_slot(reused.slot(1, 1), gb);
+    reused.add_slot(reused.slot(2, 2), gb);
+    ASSERT_EQ(fresh.values().size(), reused.values().size());
     const auto& vf = fresh.values();
     const auto& vr = reused.values();
     for (std::size_t s = 0; s < vf.size(); ++s)
@@ -167,13 +168,13 @@ TEST(Sparse, SlotResolutionAndIndexedRefresh) {
   a.finalize();
   const std::size_t s02 = a.slot(0, 2);
   const std::size_t s11 = a.slot(1, 1);
-  a.set_slot(s02, 5.0);
+  a.add_slot(s02, 4.0);
   a.add_slot(s11, -1.0);
   EXPECT_DOUBLE_EQ(a.to_dense()(0, 2), 5.0);
   EXPECT_DOUBLE_EQ(a.to_dense()(1, 1), 2.0);
-  // set()/add_to() hit the same slots by coordinate.
-  a.set(0, 2, 7.0);
-  a.add_to(1, 0, 0.5);
+  // A base refresh resets every slot; slots stay valid across it.
+  a.begin_update({7.0, 2.0, 3.0});
+  a.add_slot(a.slot(1, 0), 0.5);
   EXPECT_DOUBLE_EQ(a.values()[s02], 7.0);
   EXPECT_DOUBLE_EQ(a.to_dense()(1, 0), 2.5);
 }
@@ -181,14 +182,14 @@ TEST(Sparse, SlotResolutionAndIndexedRefresh) {
 TEST(Sparse, RefreshApiErrors) {
   SparseMatrix a(2, 2);
   a.add(0, 0, 1.0);
-  EXPECT_THROW(a.begin_update(), Error);      // not finalized yet
+  EXPECT_THROW(a.begin_update({1.0}), Error);  // not finalized yet
   EXPECT_THROW((void)a.slot(0, 0), Error);
   a.finalize();
   EXPECT_THROW((void)a.slot(0, 1), Error);    // not a structural nonzero
-  EXPECT_THROW(a.set(1, 0, 1.0), Error);
+  EXPECT_THROW((void)a.slot(1, 0), Error);
   EXPECT_THROW(a.add_slot(99, 1.0), Error);
   EXPECT_THROW(a.begin_update({1.0, 2.0}), Error);  // base size mismatch
-  a.begin_update();
+  a.begin_update({0.0});
   EXPECT_DOUBLE_EQ(a.values()[0], 0.0);
 }
 
@@ -206,15 +207,15 @@ TEST(Sparse, RefreshedMatrixMultipliesCorrectly) {
   a.add(29, 29, 9.0);
   a.finalize();
   // Refresh to the Laplacian values.
-  a.begin_update();
+  a.begin_update(std::vector<double>(a.values().size(), 0.0));
   for (std::size_t i = 0; i + 1 < 30; ++i) {
-    a.add_to(i, i, 2.0);
-    a.add_to(i + 1, i + 1, 2.0);
-    a.add_to(i, i + 1, -2.0);
-    a.add_to(i + 1, i, -2.0);
+    a.add_slot(a.slot(i, i), 2.0);
+    a.add_slot(a.slot(i + 1, i + 1), 2.0);
+    a.add_slot(a.slot(i, i + 1), -2.0);
+    a.add_slot(a.slot(i + 1, i), -2.0);
   }
-  a.add_to(0, 0, 2.0);
-  a.add_to(29, 29, 2.0);
+  a.add_slot(a.slot(0, 0), 2.0);
+  a.add_slot(a.slot(29, 29), 2.0);
   std::vector<double> x(30);
   for (std::size_t i = 0; i < 30; ++i)
     x[i] = 0.1 * static_cast<double>(i) - 1.0;

@@ -29,17 +29,6 @@ TEST(Table, RowArityEnforced) {
   EXPECT_EQ(t.row_count(), 0u);
 }
 
-TEST(Table, CsvEscapesSpecials) {
-  TextTable t({"name", "note"});
-  t.add_row({"plain", "with,comma"});
-  t.add_row({"quote\"inside", "line\nbreak"});
-  const std::string csv = t.to_csv();
-  EXPECT_NE(csv.find("\"with,comma\""), std::string::npos);
-  EXPECT_NE(csv.find("\"quote\"\"inside\""), std::string::npos);
-  EXPECT_NE(csv.find("\"line\nbreak\""), std::string::npos);
-  EXPECT_EQ(csv.substr(0, 10), "name,note\n");
-}
-
 TEST(Table, EmptyHeadersRejected) {
   EXPECT_THROW(TextTable{std::vector<std::string>{}}, Error);
 }

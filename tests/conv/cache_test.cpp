@@ -4,6 +4,7 @@
 
 #include "common/error.h"
 #include "common/rng.h"
+#include "support/memory_traces.h"
 
 namespace memcim {
 namespace {
@@ -70,15 +71,6 @@ TEST(Cache, WorkingSetInsideCacheConverges) {
   // Random accesses within 4 kB: after warm-up everything hits.
   c.run(random_trace(0, 4 << 10, 10'000, rng));
   EXPECT_GT(c.stats().hit_rate(), 0.95);
-}
-
-TEST(Cache, FlushDropsContents) {
-  SetAssociativeCache c(tiny());
-  (void)c.access(0x40);
-  EXPECT_TRUE(c.contains(0x40));
-  c.flush();
-  EXPECT_FALSE(c.contains(0x40));
-  EXPECT_FALSE(c.access(0x40));  // cold again
 }
 
 TEST(Cache, ConfigValidation) {

@@ -4,6 +4,7 @@
 
 #include "common/error.h"
 #include "common/rng.h"
+#include "support/memory_traces.h"
 
 namespace memcim {
 namespace {

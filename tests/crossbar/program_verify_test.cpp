@@ -1,8 +1,8 @@
 #include <gtest/gtest.h>
 
-#include "crossbar/readout.h"
 #include "device/presets.h"
 #include "device/vcm.h"
+#include "support/program_verify.h"
 
 namespace memcim {
 namespace {

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "crossbar/selector.h"
 #include "device/presets.h"
 #include "device/vcm.h"
@@ -146,14 +148,19 @@ TEST(Readout, MaxArraySizeFindsCutoff) {
   // Floating-scheme worst-case margins on this device collapse fast:
   // ~0.44 at N=4, ~0.12 at N=16, ~0.03 at N=64 (Flocke-style result).
   const std::vector<std::size_t> sizes{4, 8, 16, 32, 64};
-  const std::size_t n_max =
-      max_array_size(bare_proto(), lumped(), rc, sizes, 0.1);
-  EXPECT_EQ(n_max, 16u);
+  const std::vector<MarginPoint> series =
+      margin_vs_size(bare_proto(), lumped(), rc, sizes);
+  // Largest N whose worst-case margin stays above `min_margin`.
+  auto max_size = [&](double min_margin) {
+    std::size_t best = 0;
+    for (const MarginPoint& p : series)
+      if (p.margin >= min_margin) best = std::max(best, p.size);
+    return best;
+  };
+  EXPECT_EQ(max_size(0.1), 16u);
   // Raising the required margin can only shrink the feasible size.
-  const std::size_t stricter =
-      max_array_size(bare_proto(), lumped(), rc, sizes, 0.4);
-  EXPECT_EQ(stricter, 4u);
-  EXPECT_EQ(max_array_size(bare_proto(), lumped(), rc, sizes, 0.99), 0u);
+  EXPECT_EQ(max_size(0.4), 4u);
+  EXPECT_EQ(max_size(0.99), 0u);
 }
 
 }  // namespace

@@ -1,4 +1,4 @@
-#include "device/fit.h"
+#include "support/vcm_fit.h"
 
 #include <gtest/gtest.h>
 

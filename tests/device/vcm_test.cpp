@@ -4,6 +4,7 @@
 
 #include "common/error.h"
 #include "device/presets.h"
+#include "support/hfox_preset.h"
 
 namespace memcim {
 namespace {

@@ -10,9 +10,9 @@
 #include "device/presets.h"
 #include "device/vcm.h"
 #include "logic/cam.h"
-#include "logic/lut.h"
-#include "logic/interconnect.h"
 #include "logic/packed_adder.h"
+#include "support/interconnect.h"
+#include "support/lut.h"
 #include "workloads/dna.h"
 
 namespace memcim {

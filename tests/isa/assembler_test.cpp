@@ -8,8 +8,8 @@
 
 #include "common/error.h"
 #include "common/rng.h"
-#include "isa/assembler.h"
 #include "isa_test_util.h"
+#include "support/isa_assembler.h"
 
 namespace memcim::isa {
 namespace {

@@ -66,12 +66,12 @@ TEST(ProgramCache, EveryKeyComponentSeparatesArtifacts) {
   (void)cache.get_or_compile(key_of("test.or", 2, options), builder, options);
   // Different shape.
   (void)cache.get_or_compile(key_of("test.and", 3, options), builder, options);
-  // Different fabric quanta.
-  CompileOptions crs = options;
-  crs.imply_step_cost = 2;
-  EXPECT_NE(fabric_signature(options), fabric_signature(crs));
-  (void)cache.get_or_compile(key_of("test.and", 2, crs), builder, crs);
-  // Different cost-model quanta.
+  // Different step time.
+  CompileOptions slow = options;
+  slow.cost.t_step = slow.cost.t_step * 2.0;
+  EXPECT_NE(fabric_signature(options), fabric_signature(slow));
+  (void)cache.get_or_compile(key_of("test.and", 2, slow), builder, slow);
+  // Different write energy.
   CompileOptions hot = options;
   hot.cost.e_write = hot.cost.e_write * 2.0;
   EXPECT_NE(fabric_signature(options), fabric_signature(hot));

@@ -8,8 +8,8 @@
 
 #include "common/error.h"
 #include "common/rng.h"
-#include "isa/isa.h"
 #include "isa_test_util.h"
+#include "support/isa_encoding.h"
 
 namespace memcim::isa {
 namespace {

@@ -23,6 +23,7 @@
 #include "logic/device_fabric.h"
 #include "logic/gates.h"
 #include "logic/ideal_fabric.h"
+#include "support/program_golden.h"
 
 namespace memcim::isa {
 namespace {

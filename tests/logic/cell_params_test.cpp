@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -25,6 +26,11 @@ struct BadField {
   void (*set)(CrsCellParams&, double);
   double value;
 };
+
+// gtest writes the printed parameter into each test's ctest name.  The
+// default byte dump holds the name string's heap pointer, which differs
+// from run to run, so print the bad value instead.
+void PrintTo(const BadField& field, std::ostream* os) { *os << field.value; }
 
 std::vector<BadField> bad_fields() {
   using Setter = void (*)(CrsCellParams&, double);

@@ -18,7 +18,6 @@
 #include "device/presets.h"
 #include "logic/adder.h"
 #include "logic/comparator.h"
-#include "logic/crs_fabric.h"
 #include "logic/device_fabric.h"
 #include "logic/gates.h"
 #include "logic/ideal_fabric.h"
@@ -190,7 +189,7 @@ TEST(PackedVsIdeal, RecordedProgramsAgreeBitwise) {
     const auto windows = exhaustive_windows(c.program.inputs);
     IdealFabric fabric;
     const SimdRunResult simd = run_program_simd(c.program, fabric, windows);
-    const PackedRunResult packed = run_program_packed(c.program, windows);
+    const PackedRunResult packed = run_program_packed(compile_program(c.program), windows);
     ASSERT_EQ(packed.outputs.size(), windows.size()) << c.name;
     for (std::size_t w = 0; w < windows.size(); ++w)
       EXPECT_EQ(packed.outputs[w], simd.outputs[w]) << c.name << " w" << w;
@@ -212,7 +211,7 @@ TEST(PackedVsIdeal, TelemetryTalliesMatchScalar) {
   const auto scalar = logic_tallies();
 
   Registry::global().reset();
-  (void)run_program_packed(p, windows);
+  (void)run_program_packed(compile_program(p), windows);
   const auto packed = logic_tallies();
 
   EXPECT_GT(scalar.at("fabric.steps"), 0u);
@@ -226,7 +225,7 @@ TEST(PackedVsReference, RandomProgramsOutputsAndTransitions) {
     const CimProgram p = random_program(4, 4, 40, rng);
     // 130 windows: two full lane blocks plus a partial one.
     const auto windows = random_windows(p.inputs, 130, rng);
-    const PackedRunResult packed = run_program_packed(p, windows);
+    const PackedRunResult packed = run_program_packed(compile_program(p), windows);
     std::uint64_t transitions = 0;
     for (std::size_t w = 0; w < windows.size(); ++w) {
       const ReferenceRun ref = reference_replay(p, windows[w]);
@@ -254,7 +253,7 @@ TEST(PackedVsReference, FlipTotalIsExactAcrossFoldBoundaries) {
     for (const std::vector<bool>& w : windows)
       expected += reference_replay(p, w).transitions;
     const std::uint64_t before = booked.value();
-    const PackedRunResult packed = run_program_packed(p, windows);
+    const PackedRunResult packed = run_program_packed(compile_program(p), windows);
     EXPECT_EQ(packed.transitions, expected) << what;
     EXPECT_EQ(booked.value() - before, packed.transitions) << what;
   };
@@ -278,7 +277,7 @@ TEST(PackedVsReference, FlipTotalIsExactAcrossFoldBoundaries) {
         {i % 2 == 0 ? CimOp::kSetTrue : CimOp::kSetFalse, 0, 0});
   const std::vector<std::vector<bool>> lanes64(64);
   check(toggle, lanes64, "toggle");
-  EXPECT_EQ(run_program_packed(toggle, lanes64).transitions, 32u * 64u);
+  EXPECT_EQ(run_program_packed(compile_program(toggle), lanes64).transitions, 32u * 64u);
 }
 
 TEST(PackedVsReference, BlockBoundaryWindowCounts) {
@@ -290,38 +289,12 @@ TEST(PackedVsReference, BlockBoundaryWindowCounts) {
     const auto windows = random_windows(p.inputs, count, rng);
     IdealFabric fabric;
     const SimdRunResult simd = run_program_simd(p, fabric, windows);
-    const PackedRunResult packed = run_program_packed(p, windows);
+    const PackedRunResult packed = run_program_packed(compile_program(p), windows);
     for (std::size_t w = 0; w < count; ++w)
       EXPECT_EQ(packed.outputs[w], simd.outputs[w]) << count << ":" << w;
     EXPECT_EQ(packed.writes, simd.writes) << count;
     EXPECT_EQ(packed.latency.value(), simd.latency.value()) << count;
   }
-}
-
-TEST(PackedVsCrs, TwoStepImplyCostBookMatches) {
-  TelemetryGuard guard;
-  telemetry::set_enabled(true);
-  Rng rng(0xC25);
-  const CimProgram p = random_program(3, 4, 30, rng);
-  const auto windows = exhaustive_windows(p.inputs);
-
-  Registry::global().reset();
-  CrsFabric crs(presets::crs_cell());
-  const SimdRunResult simd = run_program_simd(p, crs, windows);
-  const auto scalar_tallies = logic_tallies();
-
-  Registry::global().reset();
-  PackedRunOptions options;
-  options.imply_step_cost = 2;  // CRS IMP: init pulse + operate pulse
-  const PackedRunResult packed = run_program_packed(p, windows, options);
-  const auto packed_tallies = logic_tallies();
-
-  for (std::size_t w = 0; w < windows.size(); ++w)
-    EXPECT_EQ(packed.outputs[w], simd.outputs[w]) << w;
-  EXPECT_EQ(packed.writes, simd.writes);
-  EXPECT_EQ(packed.latency.value(), simd.latency.value());
-  EXPECT_EQ(packed.energy.value(), simd.energy.value());
-  EXPECT_EQ(scalar_tallies, packed_tallies);
 }
 
 TEST(PackedVsDevice, GateProgramAgrees) {
@@ -331,7 +304,7 @@ TEST(PackedVsDevice, GateProgramAgrees) {
   dp.device = presets::vcm_taox_logic();
   DeviceFabric fabric(dp);
   const SimdRunResult simd = run_program_simd(p, fabric, windows);
-  const PackedRunResult packed = run_program_packed(p, windows);
+  const PackedRunResult packed = run_program_packed(compile_program(p), windows);
   for (std::size_t w = 0; w < windows.size(); ++w)
     EXPECT_EQ(packed.outputs[w], simd.outputs[w]) << w;
   EXPECT_EQ(packed.writes, simd.writes);
@@ -344,7 +317,7 @@ TEST(PackedKillSwitch, DisabledTelemetryBooksNothing) {
   Registry::global().reset();
   const CimProgram p = xor_program();
   const PackedRunResult packed =
-      run_program_packed(p, exhaustive_windows(p.inputs));
+      run_program_packed(compile_program(p), exhaustive_windows(p.inputs));
   EXPECT_EQ(packed.outputs.size(), 4u);
   const telemetry::MetricsSnapshot snap = Registry::global().snapshot();
   for (const telemetry::CounterSample& c : snap.counters)

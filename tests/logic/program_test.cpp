@@ -10,6 +10,7 @@
 #include "logic/device_fabric.h"
 #include "logic/gates.h"
 #include "logic/ideal_fabric.h"
+#include "support/program_golden.h"
 
 namespace memcim {
 namespace {

@@ -13,6 +13,7 @@
 #include "device/presets.h"
 #include "fault/fabric_faults.h"
 #include "fault/golden.h"
+#include "support/program_golden.h"
 #include "logic/crs_fabric.h"
 #include "logic/ideal_fabric.h"
 #include "logic/program.h"

@@ -19,6 +19,7 @@
 #include "serving/dispatcher.h"
 #include "support/sharded_golden.h"
 #include "workloads/dna.h"
+#include "support/sharded_cam_bank.h"
 #include "workloads/sharded.h"
 
 namespace memcim {

@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "common/error.h"
 
 namespace memcim {
@@ -24,8 +26,22 @@ void expect_covers(const ShardPlan& plan, std::size_t items,
   EXPECT_EQ(cursor, items);
 }
 
+std::size_t max_shard(const ShardPlan& plan) {
+  std::size_t worst = 0;
+  for (const Shard& s : plan.shards) worst = std::max(worst, s.size());
+  return worst;
+}
+
+std::size_t active_tiles(const ShardPlan& plan) {
+  std::size_t active = 0;
+  for (const Shard& s : plan.shards)
+    if (!s.empty()) ++active;
+  return active;
+}
+
+// Batch 1 is the plain near-equal contiguous split.
 TEST(Partitioner, ContiguousCoversAndBalances) {
-  const ShardPlan plan = Partitioner::contiguous(103, 8);
+  const ShardPlan plan = Partitioner::batch_aligned(103, 8, 1);
   expect_covers(plan, 103, 8);
   // Near-equal: sizes differ by at most one.
   std::size_t smallest = plan.items, largest = 0;
@@ -34,15 +50,15 @@ TEST(Partitioner, ContiguousCoversAndBalances) {
     largest = std::max(largest, s.size());
   }
   EXPECT_LE(largest - smallest, 1u);
-  EXPECT_EQ(plan.max_shard(), 13u);
-  EXPECT_EQ(plan.active_tiles(), 8u);
+  EXPECT_EQ(max_shard(plan), 13u);
+  EXPECT_EQ(active_tiles(plan), 8u);
 }
 
 TEST(Partitioner, ContiguousWithFewerItemsThanTiles) {
-  const ShardPlan plan = Partitioner::contiguous(3, 8);
+  const ShardPlan plan = Partitioner::batch_aligned(3, 8, 1);
   expect_covers(plan, 3, 8);
-  EXPECT_EQ(plan.active_tiles(), 3u);
-  EXPECT_EQ(plan.max_shard(), 1u);
+  EXPECT_EQ(active_tiles(plan), 3u);
+  EXPECT_EQ(max_shard(plan), 1u);
 }
 
 TEST(Partitioner, BatchAlignedBoundariesAreBatchMultiples) {
@@ -72,7 +88,7 @@ TEST(Partitioner, SingleTilePlanIsTheWholeRange) {
 }
 
 TEST(Partitioner, RejectsDegenerateArguments) {
-  EXPECT_THROW((void)Partitioner::contiguous(10, 0), Error);
+  EXPECT_THROW((void)Partitioner::batch_aligned(10, 0, 1), Error);
   EXPECT_THROW((void)Partitioner::batch_aligned(10, 2, 0), Error);
 }
 

@@ -57,8 +57,8 @@ TEST(RouterPower, ScalesWithFlitWidth) {
 }
 
 TEST(RouterPower, PaperNocParamsRunAtTheTable1Clock) {
-  // paper_noc_params lives in arch/tech_params.h; the contract checked
-  // here is the NocParams side: defaults are sane for a 1 GHz fabric.
+  // The NocParams defaults are the paper's: the inter-tile fabric runs
+  // on the 1 GHz interface clock of Table 1's FinFET column.
   const NocParams p;
   EXPECT_DOUBLE_EQ(p.cycle.value(), 1e-9);
   EXPECT_EQ(p.link_wires(), p.flit_payload_bits + 1);

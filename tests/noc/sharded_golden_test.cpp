@@ -14,6 +14,7 @@
 #include "common/parallel.h"
 #include "common/rng.h"
 #include "device/presets.h"
+#include "support/sharded_cam_bank.h"
 #include "support/sharded_golden.h"
 #include "workloads/dna.h"
 

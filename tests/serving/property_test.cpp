@@ -13,6 +13,7 @@
 
 #include "serving/service.h"
 #include "serving/trace_gen.h"
+#include "support/trace_shrink.h"
 #include "serving_test_util.h"
 
 namespace memcim::serving {

@@ -39,8 +39,6 @@ void CellGridCam::write_row_ternary(std::size_t row,
   r.valid = true;
 }
 
-void CellGridCam::erase_row(std::size_t row) { at(row).valid = false; }
-
 std::vector<CamBit> CellGridCam::read_row(std::size_t row) const {
   MEMCIM_CHECK(row < rows_.size());
   const Row& r = rows_[row];

@@ -23,7 +23,6 @@ class CellGridCam {
 
   void write_row(std::size_t row, const std::vector<bool>& word);
   void write_row_ternary(std::size_t row, const std::vector<CamBit>& word);
-  void erase_row(std::size_t row);
   [[nodiscard]] std::vector<CamBit> read_row(std::size_t row) const;
   [[nodiscard]] CamSearchResult search(const std::vector<bool>& key);
   [[nodiscard]] std::optional<std::size_t> search_first(

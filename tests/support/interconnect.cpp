@@ -1,4 +1,4 @@
-#include "logic/interconnect.h"
+#include "support/interconnect.h"
 
 #include "common/error.h"
 

@@ -18,6 +18,9 @@
 //    their complements (product terms) and an OR plane collecting the
 //    products per output.  Any sum-of-products function becomes a
 //    reconfiguration, not a new circuit — the FPGA argument of [86].
+//
+// No binary runs either layer: no bench reproduces a figure of theirs.
+// They are kept with the tests written for them.
 #pragma once
 
 #include <cstdint>

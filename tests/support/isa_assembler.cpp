@@ -1,4 +1,4 @@
-#include "isa/assembler.h"
+#include "support/isa_assembler.h"
 
 #include <sstream>
 #include <vector>

@@ -1,7 +1,8 @@
 // Textual assembler / disassembler for the IMPLY ISA.
 //
 // The text form is the human-readable twin of the binary format in
-// isa.h — tooling, docs and tests round-trip programs through it:
+// isa_encoding.h.  No binary reads or writes it; it is kept with the
+// tests written for it:
 //
 //   ; 2-input AND, recorded from the gate library
 //   .registers 7

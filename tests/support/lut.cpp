@@ -1,4 +1,4 @@
-#include "logic/lut.h"
+#include "support/lut.h"
 
 #include "common/error.h"
 

@@ -7,6 +7,9 @@
 // minterm); evaluation decodes the input vector to a row address and
 // reads the stored cell — one read pulse (plus write-back when the
 // stored bit was '0').  Multi-output LUTs share the decode.
+//
+// No binary runs it: no bench reproduces a figure of the LUT.  It is
+// kept with the tests written for it.
 #pragma once
 
 #include <cstdint>

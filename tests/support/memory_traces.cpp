@@ -1,4 +1,4 @@
-#include "conv/memory_trace.h"
+#include "support/memory_traces.h"
 
 #include "common/error.h"
 

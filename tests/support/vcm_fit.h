@@ -10,6 +10,9 @@
 // kinetics_v0) from ≥2 measured points by least squares in log space:
 // the calibration step any real device-model user performs before
 // trusting architecture numbers.
+//
+// No binary calibrates a device: the presets carry the paper's numbers
+// directly.  The fit is kept with the tests written for it.
 #pragma once
 
 #include <vector>

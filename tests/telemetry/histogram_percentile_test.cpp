@@ -7,6 +7,7 @@
 #include <limits>
 #include <vector>
 
+#include "support/histogram_merge.h"
 #include "telemetry/telemetry.h"
 
 namespace memcim::telemetry {
@@ -59,7 +60,7 @@ TEST(HistogramPercentile, ExtremeQuantilesClampToFirstAndLastRank) {
 TEST(HistogramMerge, AccumulatesBucketsAndUnionsMinMax) {
   HistogramSample a = sample_of({1.0, 2.0}, {3, 1, 0}, 0.2, 1.5);
   const HistogramSample b = sample_of({1.0, 2.0}, {1, 2, 4}, 0.1, 9.0);
-  ASSERT_TRUE(a.merge(b));
+  ASSERT_TRUE(merge(a, b));
   EXPECT_EQ(a.count, 11u);
   EXPECT_EQ(a.bucket_counts, (std::vector<std::uint64_t>{4, 3, 4}));
   EXPECT_EQ(a.min, 0.1);
@@ -74,7 +75,7 @@ TEST(HistogramMerge, EmptyLeftTakesRightMinMax) {
   a.min = std::numeric_limits<double>::infinity();
   a.max = -std::numeric_limits<double>::infinity();
   const HistogramSample b = sample_of({1.0}, {2, 0}, 0.3, 0.7);
-  ASSERT_TRUE(a.merge(b));
+  ASSERT_TRUE(merge(a, b));
   EXPECT_EQ(a.min, 0.3);
   EXPECT_EQ(a.max, 0.7);
 }
@@ -83,7 +84,7 @@ TEST(HistogramMerge, RejectsMismatchedBounds) {
   HistogramSample a = sample_of({1.0, 2.0}, {1, 1, 0}, 0.5, 1.5);
   const HistogramSample untouched = a;
   const HistogramSample b = sample_of({1.0, 4.0}, {1, 1, 0}, 0.5, 1.5);
-  EXPECT_FALSE(a.merge(b));
+  EXPECT_FALSE(merge(a, b));
   EXPECT_EQ(a.count, untouched.count);
   EXPECT_EQ(a.bucket_counts, untouched.bucket_counts);
 }

@@ -21,6 +21,7 @@
 #include "serving/dispatcher.h"
 #include "telemetry/telemetry.h"
 #include "telemetry/trace_export.h"
+#include "support/sharded_cam_bank.h"
 #include "workloads/sharded.h"
 
 namespace memcim {

@@ -1,6 +1,7 @@
 // Trace-session and exporter tests: span aggregates, well-formed
 // nesting under concurrent workers, Chrome trace JSON, the metrics
-// JSON/CSV exporters, and the JsonWriter primitive they share.
+// JSON/CSV exporters (tests/support/metrics_export.h), and the
+// JsonWriter primitive they share.
 #include "telemetry/trace_export.h"
 
 #include <gtest/gtest.h>
@@ -12,6 +13,7 @@
 #include <vector>
 
 #include "common/parallel.h"
+#include "support/metrics_export.h"
 #include "telemetry/json_writer.h"
 #include "telemetry/telemetry.h"
 

@@ -3,6 +3,7 @@
 #include "arch/cim_tile.h"
 #include "common/error.h"
 #include "device/presets.h"
+#include "support/tolerant_compare.h"
 #include "workloads/dna.h"
 
 namespace memcim {
@@ -48,7 +49,7 @@ TEST(TolerantMatch, SeedCountValidation) {
   EXPECT_THROW((void)match_reads_tolerant(genome, {}, 16, 0, 2), Error);
 }
 
-// -- CIM tile tolerant compare ----------------------------------------------
+// -- tile tolerant compare (tests/support/tolerant_compare.h) -------------------
 
 CimTileConfig tile_cfg() {
   CimTileConfig cfg;
@@ -83,13 +84,13 @@ TEST(TolerantCompare, MatchesWithinHammingBudget) {
   tile.store_row(4, d4);
   tile.store_row(5, bits_of(0b0101010101010101, 16));
 
-  const auto strict = tile.parallel_compare_tolerant(key, 0);
+  const auto strict = parallel_compare_tolerant(tile, key, 0).matches;
   EXPECT_EQ(strict, (std::vector<bool>{true, false, false, false, false,
                                        false}));
-  const auto loose = tile.parallel_compare_tolerant(key, 2);
+  const auto loose = parallel_compare_tolerant(tile, key, 2).matches;
   EXPECT_EQ(loose, (std::vector<bool>{true, true, true, false, false,
                                       false}));
-  const auto very_loose = tile.parallel_compare_tolerant(key, 4);
+  const auto very_loose = parallel_compare_tolerant(tile, key, 4).matches;
   EXPECT_EQ(very_loose, (std::vector<bool>{true, true, true, true, true,
                                            false}));
 }
@@ -98,9 +99,9 @@ TEST(TolerantCompare, LatencyIsOneXorPassPlusSense) {
   CimTile tile(tile_cfg());
   const auto key = bits_of(0xFFFF, 16);
   for (std::size_t r = 0; r < 6; ++r) tile.store_row(r, key);
-  (void)tile.parallel_compare_tolerant(key, 1);
+  const TolerantCompareResult out = parallel_compare_tolerant(tile, key, 1);
   // (13 XOR steps + 2 sense pulses) × 200 ps, independent of rows/bits.
-  EXPECT_NEAR(tile.stats().latency.value(), 15 * 200e-12, 1e-15);
+  EXPECT_NEAR(out.latency.value(), 15 * 200e-12, 1e-15);
 }
 
 TEST(TolerantCompare, EnergyGrowsWithMismatches) {
@@ -110,9 +111,8 @@ TEST(TolerantCompare, EnergyGrowsWithMismatches) {
     a.store_row(r, key);                    // zero mismatches
     b.store_row(r, bits_of(0xFFFF, 16));    // 16 mismatches per row
   }
-  (void)a.parallel_compare_tolerant(key, 0);
-  (void)b.parallel_compare_tolerant(key, 0);
-  EXPECT_GT(b.stats().energy.value(), a.stats().energy.value());
+  EXPECT_GT(parallel_compare_tolerant(b, key, 0).energy.value(),
+            parallel_compare_tolerant(a, key, 0).energy.value());
 }
 
 }  // namespace
