@@ -1,7 +1,6 @@
 #include "arch/cim_tile.h"
 
 #include <algorithm>
-#include <array>
 #include <memory>
 #include <span>
 #include <utility>
@@ -29,23 +28,12 @@ TileMetrics& tile_metrics() {
   return m;
 }
 
-/// Transpose a 64 x 64 bit block in place — bit c of word w moves to bit
-/// w of word c — by swapping ever smaller off-diagonal sub-blocks.
-void transpose_bits64(std::array<std::uint64_t, kPackedLanes>& m) {
-  std::uint64_t mask = 0x00000000FFFFFFFFull;
-  for (std::size_t j = 32; j != 0; j >>= 1, mask ^= mask << j) {
-    for (std::size_t k = 0; k < kPackedLanes; k = (k + j + 1) & ~j) {
-      const std::uint64_t t = ((m[k] >> j) ^ m[k + j]) & mask;
-      m[k] ^= t << j;
-      m[k + j] ^= t;
-    }
-  }
-}
-
 }  // namespace
 
 CimTile::CimTile(const CimTileConfig& config)
-    : config_(config), memory_(config.rows, config.row_bits, config.cell) {
+    : config_(config),
+      memory_(config.rows, config.row_bits, config.cell),
+      key_words_(memory_.words_per_row()) {
   MEMCIM_CHECK(config_.rows > 0 && config_.row_bits > 0);
   check_logic_cost_model(config_.cost);
 }
@@ -66,49 +54,50 @@ std::vector<bool> CimTile::parallel_compare(const std::vector<bool>& key) {
   tile_metrics().compares.add(1);
   tile_metrics().rows.add(config_.rows);
 
-  // Compile-once/replay-many: every row is one packed window of the
-  // word-equality program.  The program IS the recorded per-row fabric
-  // walk (each row on its own IdealFabric slice, rows concurrent), so
-  // replaying the source form reproduces that walk's books bitwise:
-  // per-row steps/writes are identical, tile latency is the max over
-  // equal row latencies, and the energy reproduces the walk's ordered
-  // per-row fold (NOT one writes × e_write multiply, which rounds
-  // differently).
+  // Compile once, replay never: every row is one window of the
+  // word-equality program, recorded from the per-row fabric walk (each
+  // row on its own IdealFabric slice, rows concurrent).  The matches come
+  // from the row words, and the program's books in closed form from
+  // book_program_packed, as a packed replay of every row would book
+  // them: per-row steps/writes are the program's, tile latency is the
+  // max over equal row latencies, and the energy reproduces the walk's
+  // ordered per-row fold (NOT one writes × e_write multiply, which
+  // rounds differently).
   if (!compare_program_) {
     isa::CompileOptions copts;
     copts.cost = config_.cost;
-    compare_program_ = isa::cached_word_equality(config_.row_bits, copts);
+    auto program = isa::cached_word_equality(config_.row_bits, copts);
+    compare_flips_ =
+        bind_word_equality_flips(program->packed_source, config_.row_bits);
+    compare_program_ = std::move(program);
   }
 
-  // The program's inputs are the key bits then the row bits.  Per
-  // 64-row block, the key is broadcast to every lane, and each 64-column
-  // slab of the block's stored row words (word k of a row holds columns
-  // 64k .. 64k+63) is transposed into one lane word per column.
-  const std::size_t bits = config_.row_bits;
-  const std::size_t inputs = 2 * bits;
-  const std::size_t row_words = memory_.words_per_row();
-  lane_words_.resize(packed_lane_blocks(config_.rows) * inputs);
-  const std::span<const std::uint64_t> plane = memory_.read_all();
-  std::array<std::uint64_t, kPackedLanes> slab;
-  for (std::size_t base = 0; base < config_.rows; base += kPackedLanes) {
-    std::uint64_t* in = lane_words_.data() + base / kPackedLanes * inputs;
-    for (std::size_t i = 0; i < bits; ++i)
-      in[i] = key[i] ? ~std::uint64_t{0} : 0;
-    const std::size_t lanes = std::min(kPackedLanes, config_.rows - base);
-    for (std::size_t k = 0; k < row_words; ++k) {
-      for (std::size_t w = 0; w < lanes; ++w)
-        slab[w] = plane[(base + w) * row_words + k];
-      std::fill(slab.begin() + static_cast<std::ptrdiff_t>(lanes), slab.end(),
-                0);
-      transpose_bits64(slab);
-      const std::size_t col = 64 * k;
-      std::copy_n(slab.begin(), std::min<std::size_t>(64, bits - col),
-                  in + bits + col);
-    }
+  std::fill(key_words_.begin(), key_words_.end(), 0);
+  std::uint64_t key_ones = 0;
+  for (std::size_t i = 0; i < config_.row_bits; ++i) {
+    if (!key[i]) continue;
+    key_words_[i / 64] |= std::uint64_t{1} << (i % 64);
+    ++key_ones;
   }
-  PackedRunResult result =
-      run_program_packed(compare_program_->packed_source, config_.rows,
-                         lane_words_, compare_program_->run_source);
+  const std::size_t row_words = key_words_.size();
+  const std::span<const std::uint64_t> plane = memory_.read_all();
+  std::vector<bool> matches(config_.rows);
+  BitTally shared_ones;
+  for (std::size_t r = 0; r < config_.rows; ++r) {
+    const std::uint64_t* row = plane.data() + r * row_words;
+    std::uint64_t differ = 0;
+    for (std::size_t k = 0; k < row_words; ++k) {
+      differ |= row[k] ^ key_words_[k];
+      shared_ones.add(row[k] & key_words_[k]);
+    }
+    matches[r] = differ == 0;
+  }
+  PackedRunResult result;
+  result.transitions =
+      compare_flips_.total(config_.row_bits, config_.rows, key_ones,
+                           memory_.stored_ones(), shared_ones.total());
+  book_program_packed(compare_program_->packed_source, config_.rows,
+                      compare_program_->run_source.cost, result);
 
   const std::uint64_t writes_per_row =
       result.writes / static_cast<std::uint64_t>(config_.rows);
@@ -124,7 +113,7 @@ std::vector<bool> CimTile::parallel_compare(const std::vector<bool>& key) {
   stats_.latency += worst_row_latency;
   stats_.energy += total_energy;
   stats_.operations += config_.rows;
-  return std::move(result.outputs);
+  return matches;
 }
 
 }  // namespace memcim

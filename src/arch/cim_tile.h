@@ -8,14 +8,17 @@
 //   * parallel_compare — match a key word against every stored row
 //     simultaneously (the DNA primitive).  Latency is one comparator
 //     pass (all rows run concurrently on their own row logic); energy
-//     sums over rows.  Each row is one packed window of the
-//     word-equality program, which the tile binds on its first compare
-//     and keeps: the storage bank is read as one transaction and hands
-//     its value plane over as u64 words, which are transposed straight
-//     into the replay's input lane words in buffers the tile reuses.
-//     The books equal the per-row IdealFabric walk bit for bit
-//     (tests/arch/compare_engine_test.cpp keeps that walk as the
-//     oracle).
+//     sums over rows.  Each row is one window of the word-equality
+//     program, which the tile binds on its first compare and keeps,
+//     with its flip tables (WordEqualityFlips, checked against a probe
+//     replay when bound).  No compare replays it: the storage bank is
+//     read as one transaction, a row matches when none of its u64
+//     words differs from the key's, and the program's books follow in
+//     closed form from the row count, the bank's count of '1' cells
+//     and the 1s the rows share with the key.  The books equal the
+//     per-row IdealFabric walk and the packed replay of every row bit
+//     for bit (tests/arch/compare_engine_test.cpp keeps both as
+//     oracles).
 //
 // The math primitive runs on PackedTcAdderFarm (logic/packed_adder.h)
 // through run_parallel_add_ops (workloads/parallel_add.h); the sharded
@@ -32,6 +35,7 @@
 
 #include "crossbar/crs_memory.h"
 #include "isa/compiler.h"
+#include "logic/comparator.h"
 #include "logic/fabric.h"
 
 namespace memcim {
@@ -78,10 +82,12 @@ class alignas(64) CimTile {
   CimTileConfig config_;
   CrsMemory memory_;
   CimTileStats stats_;
-  // parallel_compare's program, bound on the first compare (a cache
-  // cleared after construction then compiles once), and its lane words.
+  // parallel_compare's program and flip tables, bound on the first
+  // compare (a cache cleared after construction then compiles once), and
+  // the key as u64 words, laid out like a row of the bank.
   std::shared_ptr<const isa::CompiledProgram> compare_program_;
-  std::vector<std::uint64_t> lane_words_;
+  WordEqualityFlips compare_flips_;
+  std::vector<std::uint64_t> key_words_;
 };
 
 }  // namespace memcim

@@ -42,6 +42,8 @@ CrsMemory::CrsMemory(std::size_t rows, std::size_t cols,
   value_.assign(rows * words_per_row_, 0);
   stuck_.assign(rows * words_per_row_, 0);
   transitions_.assign(rows * cols, 0);
+  folded_reads_.assign(rows, 0);
+  free_zeros_ = static_cast<std::uint64_t>(rows) * cols;
 }
 
 std::uint64_t CrsMemory::column_mask(std::size_t k) const {
@@ -69,9 +71,13 @@ void CrsMemory::read_cells(std::size_t r, std::size_t k, std::uint64_t mask,
 
 void CrsMemory::write_cells(std::size_t r, std::size_t k, std::uint64_t mask,
                             std::uint64_t bits, CellEvents& events) {
+  fold_reads(r);
   const std::size_t w = r * words_per_row_ + k;
   const std::uint64_t changed = mask & (value_[w] ^ bits);
   const std::uint64_t switched = changed & ~stuck_[w];
+  // A switched '1' becomes a free '0', a switched '0' a '1'.
+  free_zeros_ = free_zeros_ + popcount(switched & value_[w]) -
+                popcount(switched & ~value_[w]);
   value_[w] ^= switched;
   const std::uint64_t n = popcount(mask);
   writes_ += n;
@@ -80,6 +86,17 @@ void CrsMemory::write_cells(std::size_t r, std::size_t k, std::uint64_t mask,
   events.transitions +=
       add_per_cell(&transitions_[r * cols_ + k * kWordBits], switched, 1);
   events.absorbed += popcount(changed & stuck_[w]);
+}
+
+void CrsMemory::fold_reads(std::size_t r) {
+  const std::uint64_t n = bank_reads_ - folded_reads_[r];
+  if (n == 0) return;
+  folded_reads_[r] = bank_reads_;
+  for (std::size_t k = 0; k < words_per_row_; ++k) {
+    const std::size_t w = r * words_per_row_ + k;
+    (void)add_per_cell(&transitions_[r * cols_ + k * kWordBits],
+                       column_mask(k) & ~value_[w] & ~stuck_[w], 2 * n);
+  }
 }
 
 void CrsMemory::book(const CellEvents& events) const {
@@ -119,26 +136,28 @@ void CrsMemory::write_word(std::size_t r, const std::vector<bool>& bits) {
   book(events);
 }
 
-std::span<const std::uint64_t> CrsMemory::read_row(std::size_t r,
-                                                   CellEvents& events) {
-  MEMCIM_CHECK(r < rows_);
-  for (std::size_t k = 0; k < words_per_row_; ++k)
-    read_cells(r, k, column_mask(k),
-               std::min(kWordBits, cols_ - k * kWordBits), events);
-  return {value_.data() + r * words_per_row_, words_per_row_};
-}
-
 std::span<const std::uint64_t> CrsMemory::read_all() {
-  CellEvents events;
-  for (std::size_t r = 0; r < rows_; ++r) (void)read_row(r, events);
-  book(events);
+  // Every cell reads once, as in read_cells; the free '0' cells' per-cell
+  // transitions wait in bank_reads_ until fold_reads.
+  const std::uint64_t cells = static_cast<std::uint64_t>(rows_) * cols_;
+  ++bank_reads_;
+  reads_ += cells;
+  destructive_reads_ += free_zeros_;
+  pulses_ += cells + free_zeros_;
+  book({.pulses = cells + free_zeros_,
+        .transitions = 2 * free_zeros_,
+        .absorbed = stuck_zeros_});
   return value_;
 }
 
 std::vector<bool> CrsMemory::read_word(std::size_t r) {
+  MEMCIM_CHECK(r < rows_);
   CellEvents events;
-  const std::span<const std::uint64_t> words = read_row(r, events);
+  for (std::size_t k = 0; k < words_per_row_; ++k)
+    read_cells(r, k, column_mask(k),
+               std::min(kWordBits, cols_ - k * kWordBits), events);
   book(events);
+  const std::uint64_t* words = value_.data() + r * words_per_row_;
   std::vector<bool> bits(cols_);
   for (std::size_t c = 0; c < cols_; ++c)
     bits[c] = ((words[c / kWordBits] >> (c % kWordBits)) & 1u) != 0;
@@ -147,8 +166,12 @@ std::vector<bool> CrsMemory::read_word(std::size_t r) {
 
 void CrsMemory::inject_stuck(std::size_t r, std::size_t c, bool stuck_one) {
   MEMCIM_CHECK(r < rows_ && c < cols_);
+  fold_reads(r);
   const std::size_t w = r * words_per_row_ + c / kWordBits;
   const std::uint64_t mask = std::uint64_t{1} << (c % kWordBits);
+  if ((value_[w] & mask) == 0)
+    --((stuck_[w] & mask) != 0 ? stuck_zeros_ : free_zeros_);
+  if (!stuck_one) ++stuck_zeros_;
   stuck_[w] |= mask;
   value_[w] = stuck_one ? (value_[w] | mask) : (value_[w] & ~mask);
 }
@@ -161,13 +184,19 @@ bool CrsMemory::stored(std::size_t r, std::size_t c) const {
 
 std::uint64_t CrsMemory::transitions(std::size_t r, std::size_t c) const {
   MEMCIM_CHECK(r < rows_ && c < cols_);
-  return transitions_[r * cols_ + c];
+  const std::size_t w = r * words_per_row_ + c / kWordBits;
+  const std::uint64_t mask = std::uint64_t{1} << (c % kWordBits);
+  const bool free_zero = ((value_[w] | stuck_[w]) & mask) == 0;
+  return transitions_[r * cols_ + c] +
+         (free_zero ? 2 * (bank_reads_ - folded_reads_[r]) : 0);
 }
 
 Energy CrsMemory::total_energy() const {
   QuantumSumTable per_cell(params_.e_per_switch.value());
   Energy total{0.0};
-  for (const std::uint64_t t : transitions_) total += Energy(per_cell.sum(t));
+  for (std::size_t r = 0; r < rows_; ++r)
+    for (std::size_t c = 0; c < cols_; ++c)
+      total += Energy(per_cell.sum(transitions(r, c)));
   return total;
 }
 

@@ -12,8 +12,8 @@
 // set ⇔ the cell is pinned to its value).  Writes drive a cell to '0' or
 // '1' and every destructive read is written back, so those two states
 // are the only ones a cell can rest in, and every transaction is booked
-// per word in closed form — exactly what a CrsCell (src/device/crs.h)
-// walking the same pulses would count:
+// in closed form — exactly what a CrsCell (src/device/crs.h) walking the
+// same pulses would count:
 //
 //   read of a '1'            1 pulse
 //   read of a free '0'       2 pulses (read + write-back), 2 transitions,
@@ -21,6 +21,14 @@
 //   read of a stuck '0'      1 pulse, the ON transition absorbed
 //   write                    1 pulse, plus 1 transition when a free
 //                            cell's value changes (absorbed when stuck)
+//
+// Bit and row reads book per word.  A whole-bank read (read_all) books
+// from the bank's counts of free and stuck '0' cells, which writes and
+// fault injections keep exact, and folds its per-cell transitions
+// lazily: the bank counts whole-bank reads, each row remembers that
+// count at its last fold, and a row's free '0' cells take their 2 per
+// read just before a write or fault injection changes the row.
+// transitions() and total_energy() add the reads not yet folded.
 //
 // tests/crossbar/crs_memory_oracle_test.cpp holds the bank to a grid of
 // CrsCells driven through the same operations.
@@ -59,7 +67,8 @@ class CrsMemory {
 
   /// Read every cell of the bank, row by row, as one transaction: reads,
   /// destructive reads, pulses and per-cell transitions grow exactly as
-  /// for a read_word of each row, and crs_cell.* is booked once.  Returns
+  /// for a read_word of each row, and crs_cell.* is booked once, in
+  /// O(1): the per-cell transitions fold lazily (see above).  Returns
   /// the value plane: word k of row r is element r * words_per_row() + k,
   /// bit c % 64 of word c / 64 is column c, padding bits are 0.  The view
   /// aliases the bank: later writes and fault injections show through it.
@@ -77,6 +86,11 @@ class CrsMemory {
   [[nodiscard]] bool stored(std::size_t r, std::size_t c) const;
   /// State transitions cell (r, c) has made (endurance proxy).
   [[nodiscard]] std::uint64_t transitions(std::size_t r, std::size_t c) const;
+  /// Cells that hold '1', stuck ones included.
+  [[nodiscard]] std::uint64_t stored_ones() const {
+    return static_cast<std::uint64_t>(rows_) * cols_ - free_zeros_ -
+           stuck_zeros_;
+  }
 
   // -- transaction statistics -----------------------------------------------
   [[nodiscard]] std::uint64_t reads() const { return reads_; }
@@ -101,9 +115,6 @@ class CrsMemory {
     std::uint64_t transitions = 0;
     std::uint64_t absorbed = 0;
   };
-  /// Read every cell of row r (write-back included) into `events` and
-  /// return the row as words, laid out like one row of read_all.
-  std::span<const std::uint64_t> read_row(std::size_t r, CellEvents& events);
   /// Read the `n` cells of `mask` in word k of row r (write-back
   /// included).
   void read_cells(std::size_t r, std::size_t k, std::uint64_t mask,
@@ -111,6 +122,9 @@ class CrsMemory {
   /// Drive the cells of `mask` in word k of row r to the matching bits.
   void write_cells(std::size_t r, std::size_t k, std::uint64_t mask,
                    std::uint64_t bits, CellEvents& events);
+  /// Fold the whole-bank reads since row r's last fold into the per-cell
+  /// transitions of its free '0' cells.
+  void fold_reads(std::size_t r);
   void book(const CellEvents& events) const;
   /// Mask of the columns held by word k of a row.
   [[nodiscard]] std::uint64_t column_mask(std::size_t k) const;
@@ -118,9 +132,13 @@ class CrsMemory {
   std::size_t rows_, cols_;
   std::size_t words_per_row_;
   CrsCellParams params_;
-  std::vector<std::uint64_t> value_;        ///< [row][word], '1' bits
-  std::vector<std::uint64_t> stuck_;        ///< [row][word], pinned bits
-  std::vector<std::uint64_t> transitions_;  ///< [row][col]
+  std::vector<std::uint64_t> value_;         ///< [row][word], '1' bits
+  std::vector<std::uint64_t> stuck_;         ///< [row][word], pinned bits
+  std::vector<std::uint64_t> transitions_;   ///< [row][col], folded reads
+  std::vector<std::uint64_t> folded_reads_;  ///< [row], bank_reads_ at fold
+  std::uint64_t bank_reads_ = 0;             ///< read_all calls
+  std::uint64_t free_zeros_ = 0;             ///< free cells holding '0'
+  std::uint64_t stuck_zeros_ = 0;            ///< cells stuck at '0'
   std::uint64_t pulses_ = 0;
   std::uint64_t reads_ = 0;
   std::uint64_t writes_ = 0;

@@ -6,7 +6,8 @@
 //   * `source` / `packed_source` — the recorded program unchanged, for
 //     book-exact replay (bitwise-identical outputs AND cost books vs
 //     the scalar fabric walk it was recorded from; CimTile's compare
-//     replays this form),
+//     books this form in closed form and checks it against a probe
+//     replay when it binds),
 //   * `optimized` / `packed_optimized` — the pass-pipeline output, for
 //     minimum-pulse replay with its own exactly-reconciled books (what
 //     bench_compiler gates).

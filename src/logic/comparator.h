@@ -3,13 +3,17 @@
 // implemented by implication logic [58]; 13 memristors; 16 steps").
 #pragma once
 
+#include <array>
 #include <cstddef>
+#include <cstdint>
 #include <span>
 #include <vector>
 
 #include "logic/fabric.h"
 
 namespace memcim {
+
+struct PackedProgram;
 
 /// Cost sheet of a 2-bit (one nucleotide) comparator.
 struct ComparatorCost {
@@ -40,6 +44,36 @@ struct ComparatorCost {
 /// N-bit word equality: AND-reduction of per-bit XNORs.
 [[nodiscard]] Reg word_equality(Fabric& f, std::span<const Reg> a,
                                 std::span<const Reg> b);
+
+/// Register flips of packed word_equality windows in closed form.  Every
+/// gate of word_equality writes fresh registers, every register starts
+/// at 0 and no instruction clears a 1, so a window's flips are its final
+/// 1s: its key and row 1s, `xnor[k][r]` for each bit position where the
+/// key holds k and the row r, and `chain` for each AND of the chain.
+struct WordEqualityFlips {
+  std::array<std::array<std::uint64_t, 2>, 2> xnor{};
+  std::uint64_t chain = 0;
+
+  /// Flips of `rows` windows of the `bits`-wide program against one key
+  /// holding `key_ones` 1s, when the rows hold `row_ones` 1s, of which
+  /// `shared_ones` sit where the key holds a 1.
+  [[nodiscard]] std::uint64_t total(std::size_t bits, std::uint64_t rows,
+                                    std::uint64_t key_ones,
+                                    std::uint64_t row_ones,
+                                    std::uint64_t shared_ones) const;
+};
+
+/// The flip tables of `program`, the `bits`-bit word_equality program
+/// (inputs: the key, then the row, LSB first) compiled for the packed
+/// engine.  They are derived once per process, by replaying the 1- and
+/// 2-bit programs word_equality records on the engine's replay core,
+/// and checked against one 64-lane probe block of `program`: a fixed
+/// key, rows equal to it, rows that differ from it in the first, middle
+/// or last bit, and random rows.  Books nothing.  Throws Error if an
+/// AND's flips depend on its inputs, or if the probe's matches or flip
+/// total differ from the closed form.
+[[nodiscard]] WordEqualityFlips bind_word_equality_flips(
+    const PackedProgram& program, std::size_t bits);
 
 /// Helper: load a bit vector into freshly allocated registers.
 [[nodiscard]] std::vector<Reg> load_word(Fabric& f,

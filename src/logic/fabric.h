@@ -130,7 +130,7 @@ class Fabric {
   /// Unconditional write: set_step_cost() steps, 1 device write.
   void set(Reg r, bool value) {
     check(r);
-    if (telemetry::enabled()) {
+    if (books_telemetry_ && telemetry::enabled()) {
       detail::FabricMetrics& m = detail::fabric_metrics();
       m.sets.add(1);
       m.steps.add(set_step_cost());
@@ -161,7 +161,7 @@ class Fabric {
   void imply(Reg p, Reg q) {
     check(p);
     check(q);
-    if (telemetry::enabled()) {
+    if (books_telemetry_ && telemetry::enabled()) {
       detail::FabricMetrics& m = detail::fabric_metrics();
       m.implies.add(1);
       m.steps.add(imply_step_cost());
@@ -191,7 +191,7 @@ class Fabric {
   /// readout happens on the sense amps, not the array).
   [[nodiscard]] bool read(Reg r) const {
     check(r);
-    detail::fabric_metrics().reads.add(1);
+    if (books_telemetry_) detail::fabric_metrics().reads.add(1);
     bool value = do_read(r);
     if (faults_ != nullptr) {
       if (const auto s = faults_->stuck_value(r)) value = *s;
@@ -204,6 +204,11 @@ class Fabric {
   /// with the caller; the hooks must outlive the fabric's use.
   void attach_faults(FabricFaultHooks* hooks) { faults_ = hooks; }
   [[nodiscard]] FabricFaultHooks* faults() const { return faults_; }
+
+  /// Book no fabric.* telemetry from now on: for a fabric whose micro-ops
+  /// stand for no run, such as the recorder of a probe program that a
+  /// closed form is derived from.
+  void mute_telemetry() { books_telemetry_ = false; }
 
   // -- cost books -----------------------------------------------------------
   [[nodiscard]] std::uint64_t steps() const { return steps_; }
@@ -254,6 +259,7 @@ class Fabric {
   std::uint64_t steps_ = 0;
   std::uint64_t writes_ = 0;
   FabricFaultHooks* faults_ = nullptr;
+  bool books_telemetry_ = true;
 };
 
 }  // namespace memcim

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <bit>
 
 #include "common/error.h"
 #include "common/parallel.h"
@@ -33,48 +32,6 @@ PackedMetrics& packed_metrics() {
   static PackedMetrics m;
   return m;
 }
-
-std::uint64_t popcount(std::uint64_t x) {
-  return static_cast<std::uint64_t>(std::popcount(x));
-}
-
-/// Exact total of the set bits in a stream of 64-lane words without a
-/// popcount per word: every lane keeps a 4-bit count in four bit planes
-/// (c<p> holds bit p of each lane's count), and after 15 words, the most
-/// a 4-bit count can hold, the planes fold into the total.
-class BitTally {
- public:
-  void add(std::uint64_t word) {
-    // Ripple the carries up from the old planes, then flip the planes.
-    const std::uint64_t carry1 = c0_ & word;
-    const std::uint64_t carry2 = c1_ & carry1;
-    const std::uint64_t carry3 = c2_ & carry2;
-    c0_ ^= word;
-    c1_ ^= carry1;
-    c2_ ^= carry2;
-    c3_ ^= carry3;
-    if (++pending_ == kFoldEvery) fold();
-  }
-
-  [[nodiscard]] std::uint64_t total() {
-    fold();
-    return total_;
-  }
-
- private:
-  static constexpr int kFoldEvery = 15;
-
-  void fold() {
-    total_ += popcount(c0_) + 2 * popcount(c1_) + 4 * popcount(c2_) +
-              8 * popcount(c3_);
-    c0_ = c1_ = c2_ = c3_ = 0;
-    pending_ = 0;
-  }
-
-  std::uint64_t c0_ = 0, c1_ = 0, c2_ = 0, c3_ = 0;
-  std::uint64_t total_ = 0;
-  int pending_ = 0;
-};
 
 /// Replay `compiled` on one block of windows: `in` holds the block's
 /// input lane words, `mask` its active lanes, `regs` one word per
@@ -165,10 +122,10 @@ std::vector<bool> PackedRunResult::wide(std::size_t w) const {
   return bits;
 }
 
-PackedRunResult run_program_packed(const PackedProgram& compiled,
-                                   std::size_t windows,
-                                   std::span<const std::uint64_t> lane_words,
-                                   const PackedRunOptions& options) {
+PackedRunResult replay_program_packed(const PackedProgram& compiled,
+                                      std::size_t windows,
+                                      std::span<const std::uint64_t> lane_words,
+                                      std::size_t block_grain) {
   MEMCIM_CHECK_MSG(windows > 0, "packed run needs at least one window");
   const std::size_t blocks = packed_lane_blocks(windows);
   MEMCIM_CHECK_MSG(lane_words.size() == blocks * compiled.inputs,
@@ -199,15 +156,19 @@ PackedRunResult run_program_packed(const PackedProgram& compiled,
     }
     transitions_total += flips;
   };
-  const std::size_t grain = std::max<std::size_t>(1, options.block_grain);
-  parallel_for_chunks(0, blocks, grain, run_blocks);
+  parallel_for_chunks(0, blocks, std::max<std::size_t>(1, block_grain),
+                      run_blocks);
   result.transitions = transitions_total;
   result.outputs.resize(windows);
   for (std::size_t w = 0; w < windows; ++w) {
     const std::uint64_t first = result.result_words[w / kPackedLanes * n_out];
     result.outputs[w] = ((first >> (w % kPackedLanes)) & 1u) != 0;
   }
+  return result;
+}
 
+void book_program_packed(const PackedProgram& compiled, std::size_t windows,
+                         const LogicCostModel& cost, PackedRunResult& result) {
   // Cost books, reconciled to what a scalar run_program_simd would have
   // accrued for the same program on an IdealFabric with this cost model
   // (every window executes the identical stream, so totals are exact
@@ -220,14 +181,14 @@ PackedRunResult run_program_packed(const PackedProgram& compiled,
   const std::uint64_t steps_pw = writes_pw;
   result.steps_per_window = steps_pw;
   result.writes = w64 * writes_pw;
-  result.latency = options.cost.t_step * static_cast<double>(steps_pw);
-  result.energy = options.cost.e_write * static_cast<double>(result.writes);
+  result.latency = cost.t_step * static_cast<double>(steps_pw);
+  result.energy = cost.e_write * static_cast<double>(result.writes);
 
   if (telemetry::enabled()) {
     detail::FabricMetrics& fm = detail::fabric_metrics();
     fm.sets.add(w64 * sets_pw);
     fm.implies.add(w64 * compiled.implies_per_window);
-    fm.reads.add(w64 * static_cast<std::uint64_t>(n_out));
+    fm.reads.add(w64 * static_cast<std::uint64_t>(compiled.outputs.size()));
     fm.steps.add(w64 * steps_pw);
     fm.writes.add(result.writes);
     detail::ProgramMetrics& prm = detail::program_metrics();
@@ -235,16 +196,28 @@ PackedRunResult run_program_packed(const PackedProgram& compiled,
     prm.instructions.add(w64 * compiled.length());
     prm.imply_steps.add(w64 * compiled.implies_per_window);
     prm.simd_windows.add(w64);
+    packed_metrics().transitions.add(result.transitions);
+  }
+}
+
+PackedRunResult run_program_packed(const PackedProgram& compiled,
+                                   std::size_t windows,
+                                   std::span<const std::uint64_t> lane_words,
+                                   const PackedRunOptions& options) {
+  PackedRunResult result =
+      replay_program_packed(compiled, windows, lane_words, options.block_grain);
+  book_program_packed(compiled, windows, options.cost, result);
+  if (telemetry::enabled()) {
+    const std::size_t blocks = packed_lane_blocks(windows);
     PackedMetrics& pm = packed_metrics();
     pm.runs.add(1);
-    pm.windows.add(w64);
+    pm.windows.add(windows);
     pm.lane_blocks.add(blocks);
     // One word op per input load, per instruction, and per output read
     // in every block.
     pm.word_ops.add(static_cast<std::uint64_t>(blocks) *
                     (static_cast<std::uint64_t>(compiled.inputs) +
-                     compiled.length() + n_out));
-    pm.transitions.add(result.transitions);
+                     compiled.length() + compiled.outputs.size()));
   }
   return result;
 }

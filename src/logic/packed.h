@@ -30,6 +30,7 @@
 // the scalar path — see docs/LOGIC.md for the fallback rules.
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -49,6 +50,46 @@ inline constexpr std::size_t kPackedLanes = 64;
 [[nodiscard]] constexpr std::size_t packed_lane_blocks(std::size_t windows) {
   return (windows + kPackedLanes - 1) / kPackedLanes;
 }
+
+/// Exact total of the set bits in a stream of 64-lane words without a
+/// popcount per word: every lane keeps a 4-bit count in four bit planes
+/// (c<p> holds bit p of each lane's count), and after 15 words, the most
+/// a 4-bit count can hold, the planes fold into the total.
+class BitTally {
+ public:
+  void add(std::uint64_t word) {
+    // Ripple the carries up from the old planes, then flip the planes.
+    const std::uint64_t carry1 = c0_ & word;
+    const std::uint64_t carry2 = c1_ & carry1;
+    const std::uint64_t carry3 = c2_ & carry2;
+    c0_ ^= word;
+    c1_ ^= carry1;
+    c2_ ^= carry2;
+    c3_ ^= carry3;
+    if (++pending_ == kFoldEvery) fold();
+  }
+
+  [[nodiscard]] std::uint64_t total() {
+    fold();
+    return total_;
+  }
+
+ private:
+  static constexpr int kFoldEvery = 15;
+
+  static std::uint64_t ones(std::uint64_t x) {
+    return static_cast<std::uint64_t>(std::popcount(x));
+  }
+  void fold() {
+    total_ += ones(c0_) + 2 * ones(c1_) + 4 * ones(c2_) + 8 * ones(c3_);
+    c0_ = c1_ = c2_ = c3_ = 0;
+    pending_ = 0;
+  }
+
+  std::uint64_t c0_ = 0, c1_ = 0, c2_ = 0, c3_ = 0;
+  std::uint64_t total_ = 0;
+  int pending_ = 0;
+};
 
 /// A validated, cost-annotated program ready for packed replay.
 /// Compiling once hoists the per-instruction bounds checks and the
@@ -103,11 +144,11 @@ struct PackedRunResult {
 /// lane words, chunked into 64-lane blocks over the thread pool:
 /// `lane_words[b * compiled.inputs + i]` holds input i of windows
 /// 64b .. 64b+63, bit w for window 64b + w (bits past the last window
-/// are ignored).  This is the engine's one entry point; callers that
-/// hold their inputs bit-sliced already (CimTile's stored rows) hand
-/// them over without a per-window copy.  `compiled` must come from
-/// compile_program, which validated every register index the replay
-/// loop then uses unchecked.  Bitwise equivalent to
+/// are ignored).  This is the engine's one entry point: the replay core
+/// below, then book_program_packed, then the engine's own
+/// logic.packed.{runs,windows,lane_blocks,word_ops}.  `compiled` must
+/// come from compile_program, which validated every register index the
+/// replay loop then uses unchecked.  Bitwise equivalent to
 /// run_program_simd on an IdealFabric with the same cost model:
 /// identical outputs, latency, energy, writes, and fabric.* /
 /// program.* telemetry tallies.
@@ -115,6 +156,23 @@ struct PackedRunResult {
     const PackedProgram& compiled, std::size_t windows,
     std::span<const std::uint64_t> lane_words,
     const PackedRunOptions& options = {});
+
+/// The replay core of run_program_packed, `block_grain` lane blocks per
+/// pool task: fills the outputs, the result words and the flip total,
+/// leaves the cost books at zero and books no telemetry.
+[[nodiscard]] PackedRunResult replay_program_packed(
+    const PackedProgram& compiled, std::size_t windows,
+    std::span<const std::uint64_t> lane_words, std::size_t block_grain = 1);
+
+/// The books of `windows` windows of `compiled` replayed on an
+/// IdealFabric with `cost`, whose flip total `result.transitions`
+/// already holds: fills result's latency, energy, writes and
+/// steps_per_window, and books fabric.*, program.* and
+/// logic.packed.transitions.  Callers that know a run's outputs and
+/// flips without replaying it (CimTile's closed-form compare) book it
+/// here, exactly as run_program_packed would.
+void book_program_packed(const PackedProgram& compiled, std::size_t windows,
+                         const LogicCostModel& cost, PackedRunResult& result);
 
 /// Packed replay of `input_sets.size()` windows, one input vector per
 /// window: transposes them into lane words for the form above.

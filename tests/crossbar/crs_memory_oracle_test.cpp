@@ -1,11 +1,11 @@
 // Differential test: the bit-sliced CrsMemory against a row-major grid of
 // CrsCells — the device model the bank's closed-form books are derived
-// from — driven through one seeded stream of bit, word and whole-bank
-// reads, writes and stuck-at injections.  After every operation the
-// returned bits, every cell's value and transition count, the bank
-// totals and the crs_cell.* telemetry each side booked must agree
-// exactly.  Row widths of 64, 65 and 130 put cells on both sides of u64
-// word boundaries.
+// from — driven through one seeded stream of bit and word reads and
+// writes, bursts of 1-5 whole-bank reads, and stuck-at injections.
+// After every operation the returned bits, every cell's value and
+// transition count, the bank totals and the crs_cell.* telemetry each
+// side booked must agree exactly.  Row widths of 64, 65 and 130 put
+// cells on both sides of u64 word boundaries.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -173,19 +173,26 @@ TEST_P(CrsMemoryOracle, MatchesACrsCellGridAfterEveryOperation) {
         mid = read_counters();
         grid.inject_stuck(r, c, stuck_one);
       } else {
-        what = "read_all";
-        const std::span<const std::uint64_t> plane = bank.read_all();
+        // A burst of whole-bank reads: the bank folds them into its cells
+        // lazily, n reads at a time, when a write or an injection next
+        // changes a row.
+        const auto burst = static_cast<int>(rng.uniform_int(1, 5));
+        what = "read_all x" + std::to_string(burst);
+        std::span<const std::uint64_t> plane;
+        for (int i = 0; i < burst; ++i) plane = bank.read_all();
         mid = read_counters();
         const std::size_t words = bank.words_per_row();
         ASSERT_EQ(plane.size(), shape.rows * words);
         // The grid reads every cell in row-major order, as the bank does.
-        for (std::size_t rr = 0; rr < shape.rows; ++rr) {
-          for (std::size_t k = 0; k < words; ++k) {
-            std::uint64_t want = 0;
-            for (std::size_t b = 0; b < 64 && 64 * k + b < shape.cols; ++b)
-              if (grid.read(rr, 64 * k + b)) want |= std::uint64_t{1} << b;
-            EXPECT_EQ(plane[rr * words + k], want)
-                << "row " << rr << ", word " << k;
+        for (int i = 0; i < burst; ++i) {
+          for (std::size_t rr = 0; rr < shape.rows; ++rr) {
+            for (std::size_t k = 0; k < words; ++k) {
+              std::uint64_t want = 0;
+              for (std::size_t b = 0; b < 64 && 64 * k + b < shape.cols; ++b)
+                if (grid.read(rr, 64 * k + b)) want |= std::uint64_t{1} << b;
+              EXPECT_EQ(plane[rr * words + k], want)
+                  << "read " << i << ", row " << rr << ", word " << k;
+            }
           }
         }
       }

@@ -34,7 +34,7 @@ PackedRunResult replay(const CompiledProgram& program, bool optimized,
       optimized ? program.run_optimized : program.run_source);
 }
 
-TEST(CompiledCamBank, MatchesCrsCamOnBinaryTernaryAndErasedRows) {
+TEST(CompiledCamBank, MatchesCrsCamOnBinaryTernaryAndUnwrittenRows) {
   constexpr std::size_t kRows = 16;
   constexpr std::size_t kBits = 8;
   CamConfig device_config;

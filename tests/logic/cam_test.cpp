@@ -53,7 +53,7 @@ TEST(Cam, MultipleMatchesReturnedInRowOrder) {
 
 // No operation erases a written row: the rows never written are the
 // invalid ones, and no key matches them.
-TEST(Cam, ErasedAndUnwrittenRowsNeverMatch) {
+TEST(Cam, UnwrittenRowsNeverMatch) {
   CrsCam cam(small_cam());
   const auto r0 = cam.search(bits_of(0x00, 8));
   EXPECT_TRUE(r0.matching_rows.empty());
