@@ -41,12 +41,11 @@ std::uint64_t popcount(std::uint64_t x) {
   return static_cast<std::uint64_t>(std::popcount(x));
 }
 
-/// word_equality over `bits`-bit operands, recorded without booking and
-/// compiled for the packed engine.
+/// word_equality over `bits`-bit operands, recorded (which books
+/// nothing) and compiled for the packed engine.
 PackedProgram probe_program(std::size_t bits) {
   return compile_program(record_program(
       2 * bits, [bits](Fabric& f, const std::vector<Reg>& in) {
-        f.mute_telemetry();
         const std::span<const Reg> a(in.data(), bits);
         const std::span<const Reg> b(in.data() + bits, bits);
         return word_equality(f, a, b);

@@ -205,11 +205,6 @@ class Fabric {
   void attach_faults(FabricFaultHooks* hooks) { faults_ = hooks; }
   [[nodiscard]] FabricFaultHooks* faults() const { return faults_; }
 
-  /// Book no fabric.* telemetry from now on: for a fabric whose micro-ops
-  /// stand for no run, such as the recorder of a probe program that a
-  /// closed form is derived from.
-  void mute_telemetry() { books_telemetry_ = false; }
-
   // -- cost books -----------------------------------------------------------
   [[nodiscard]] std::uint64_t steps() const { return steps_; }
   [[nodiscard]] std::uint64_t writes() const { return writes_; }
@@ -245,6 +240,10 @@ class Fabric {
   [[nodiscard]] virtual std::uint64_t set_step_cost() const { return 1; }
   [[nodiscard]] virtual std::uint64_t imply_step_cost() const { return 1; }
 
+  /// False for a fabric whose micro-ops stand for no run (a recorder):
+  /// it books no fabric.* telemetry.
+  bool books_telemetry_ = true;
+
  private:
   void check(Reg r) const;
 
@@ -259,7 +258,6 @@ class Fabric {
   std::uint64_t steps_ = 0;
   std::uint64_t writes_ = 0;
   FabricFaultHooks* faults_ = nullptr;
-  bool books_telemetry_ = true;
 };
 
 }  // namespace memcim

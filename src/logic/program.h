@@ -54,9 +54,10 @@ struct CimProgram {
 [[nodiscard]] std::vector<Reg> result_registers(const CimProgram& program);
 
 /// A Fabric that executes nothing physical — it records the microcode.
+/// A recording runs nothing, so it books no fabric.* telemetry.
 class RecordingFabric final : public Fabric {
  public:
-  RecordingFabric() = default;
+  RecordingFabric() { books_telemetry_ = false; }
 
   /// Reserve storage up front for a recording of known shape.  Repeated
   /// `grow()` / `push_back` on large recordings reallocates both the
@@ -64,7 +65,8 @@ class RecordingFabric final : public Fabric {
   /// program shape (re-recording a cached kernel, property tests with a
   /// fixed length) pass it here and record allocation-free.
   RecordingFabric(std::size_t expected_registers,
-                  std::size_t expected_instructions) {
+                  std::size_t expected_instructions)
+      : RecordingFabric() {
     bits_.reserve(expected_registers);
     recording_.reserve(expected_instructions);
   }

@@ -33,23 +33,27 @@ void record_workload(const ParallelAddParams& params,
 
 }  // namespace
 
+AddOperands draw_add_operands(const ParallelAddParams& params, Rng& rng) {
+  MEMCIM_CHECK(params.width >= 1 && params.width <= 63);
+  const auto max_operand =
+      static_cast<std::int64_t>((std::uint64_t{1} << params.width) - 1);
+  AddOperands ops;
+  ops.a.reserve(params.operations);
+  ops.b.reserve(params.operations);
+  for (std::size_t op = 0; op < params.operations; ++op) {
+    ops.a.push_back(static_cast<std::uint64_t>(rng.uniform_int(0, max_operand)));
+    ops.b.push_back(static_cast<std::uint64_t>(rng.uniform_int(0, max_operand)));
+  }
+  return ops;
+}
+
 ParallelAddResult run_parallel_add(const ParallelAddParams& params,
                                    const CrsCellParams& cell, Rng& rng) {
-  MEMCIM_CHECK(params.width >= 1 && params.width <= 63);
-  const std::uint64_t max_operand =
-      (std::uint64_t{1} << params.width) - 1;
-
-  // Draw every operand up front, in operation order, so the RNG stream
-  // (and therefore the result) is independent of how the batch fan-out
-  // below is scheduled.
-  std::vector<std::uint64_t> op_a(params.operations), op_b(params.operations);
-  for (std::size_t op = 0; op < params.operations; ++op) {
-    op_a[op] = static_cast<std::uint64_t>(
-        rng.uniform_int(0, static_cast<std::int64_t>(max_operand)));
-    op_b[op] = static_cast<std::uint64_t>(
-        rng.uniform_int(0, static_cast<std::int64_t>(max_operand)));
-  }
-  return run_parallel_add_ops(params, cell, op_a, op_b);
+  // Every operand is drawn up front, in operation order, so the RNG
+  // stream (and therefore the result) is independent of how the batch
+  // fan-out is scheduled.
+  const AddOperands ops = draw_add_operands(params, rng);
+  return run_parallel_add_ops(params, cell, ops.a, ops.b);
 }
 
 ParallelAddResult run_parallel_add_ops(const ParallelAddParams& params,

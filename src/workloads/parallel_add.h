@@ -47,8 +47,22 @@ struct ParallelAddResult {
   std::vector<double> op_energy;
 };
 
-/// Generate `operations` random operand pairs and add them on the CRS
-/// adder farm, verifying every result against native addition.
+/// A batch's operand pairs, in op order.
+struct AddOperands {
+  std::vector<std::uint64_t> a;
+  std::vector<std::uint64_t> b;
+};
+
+/// Draw `params.operations` operand pairs in op order, a then b per op,
+/// each uniform on [0, 2^width − 1].  run_parallel_add and
+/// sharded_parallel_add both draw through it, so they consume the same
+/// stream.
+[[nodiscard]] AddOperands draw_add_operands(const ParallelAddParams& params,
+                                            Rng& rng);
+
+/// Draw `operations` random operand pairs (draw_add_operands) and add
+/// them on the CRS adder farm, verifying every result against native
+/// addition.
 [[nodiscard]] ParallelAddResult run_parallel_add(const ParallelAddParams& params,
                                                  const CrsCellParams& cell,
                                                  Rng& rng);

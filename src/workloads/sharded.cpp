@@ -1,5 +1,8 @@
 #include "workloads/sharded.h"
 
+#include <algorithm>
+#include <cstddef>
+
 #include "common/error.h"
 #include "common/parallel.h"
 #include "common/rng.h"
@@ -42,32 +45,6 @@ void finish_run(TileFabric& fabric, FabricSession& session,
   run.trace_id = telemetry::current_trace_context().trace_id;
 }
 
-/// Merge per-shard farm results in tile order, re-folding every total
-/// in global op order — the fold a serial execution of the same plan
-/// would produce, bit for bit.
-ParallelAddResult merge_add_shards(
-    const ShardPlan& plan, const std::vector<ParallelAddResult>& per_shard) {
-  ParallelAddResult merged;
-  merged.sums.assign(plan.items, 0);
-  merged.op_energy.assign(plan.items, 0.0);
-  for (const Shard& s : plan.shards) {
-    if (s.empty()) continue;
-    const ParallelAddResult& r = per_shard[s.tile];
-    MEMCIM_CHECK(r.sums.size() == s.size() && r.op_energy.size() == s.size());
-    for (std::size_t i = 0; i < s.size(); ++i) {
-      merged.sums[s.begin + i] = r.sums[i];
-      merged.op_energy[s.begin + i] = r.op_energy[i];
-    }
-    merged.total_pulses += r.total_pulses;
-    merged.mismatches += r.mismatches;
-    merged.transitions += r.transitions;
-    merged.latency += r.latency;
-  }
-  for (std::size_t op = 0; op < plan.items; ++op)
-    merged.total_energy += Energy(merged.op_energy[op]);
-  return merged;
-}
-
 /// Execute one shard on a fresh full-size farm.
 ParallelAddResult run_add_shard(const Shard& s,
                                const ParallelAddParams& params,
@@ -96,35 +73,48 @@ ShardedAddResult sharded_parallel_add(TileFabric& fabric,
   telemetry::Span span(span_site);
   FabricSession session(fabric, FabricSession::ShardColumn::kTile);
 
-  // Identical draw order to run_parallel_add: the sharded run consumes
-  // the same RNG stream as its single-farm counterpart.
-  const std::uint64_t max_operand = (std::uint64_t{1} << params.width) - 1;
-  std::vector<std::uint64_t> op_a(params.operations), op_b(params.operations);
-  for (std::size_t op = 0; op < params.operations; ++op) {
-    op_a[op] = static_cast<std::uint64_t>(
-        rng.uniform_int(0, static_cast<std::int64_t>(max_operand)));
-    op_b[op] = static_cast<std::uint64_t>(
-        rng.uniform_int(0, static_cast<std::int64_t>(max_operand)));
-  }
+  // The same draw as run_parallel_add: the sharded run consumes the
+  // same RNG stream as its single-farm counterpart.
+  const AddOperands ops = draw_add_operands(params, rng);
 
-  const ShardPlan plan = Partitioner::batch_aligned(
-      params.operations, fabric.tiles(), params.adders);
+  ShardedAddResult out;
+  out.plan = Partitioner::batch_aligned(params.operations, fabric.tiles(),
+                                        params.adders);
+  const ShardPlan& plan = out.plan;
+  ParallelAddResult& merged = out.merged;
+  merged.sums.resize(plan.items);
+  merged.op_energy.resize(plan.items);
 
-  // Compute phase: one task per shard, chunks write disjoint slots.
+  // Compute phase: one task per shard.  Each writes its slice of the
+  // merged sums and op energies (shards are disjoint) and its own books.
   std::vector<ParallelAddResult> per_shard(fabric.tiles());
   parallel_for(0, fabric.tiles(), 1, [&](std::size_t t) {
     const Shard& s = plan.shards[t];
     if (s.empty()) return;
     const FabricSession::TileCompute compute(session, t, shard_compute_site());
-    per_shard[t] = run_add_shard(s, params, cell, op_a, op_b);
+    ParallelAddResult& r = per_shard[t];
+    r = run_add_shard(s, params, cell, ops.a, ops.b);
+    MEMCIM_CHECK(r.sums.size() == s.size() && r.op_energy.size() == s.size());
+    const auto at = static_cast<std::ptrdiff_t>(s.begin);
+    std::copy(r.sums.begin(), r.sums.end(), merged.sums.begin() + at);
+    std::copy(r.op_energy.begin(), r.op_energy.end(),
+              merged.op_energy.begin() + at);
   });
 
-  ShardedAddResult out;
-  out.plan = plan;
-  out.merged = merge_add_shards(plan, per_shard);
+  // Only the order-fixed folds stay serial: the books in tile order and
+  // the energy total in global op order, the folds a serial execution of
+  // the same plan would make, bit for bit.
   out.shard_transitions.assign(fabric.tiles(), 0);
-  for (std::size_t t = 0; t < fabric.tiles(); ++t)
-    out.shard_transitions[t] = per_shard[t].transitions;
+  for (const Shard& s : plan.shards) {
+    if (s.empty()) continue;
+    const ParallelAddResult& r = per_shard[s.tile];
+    merged.total_pulses += r.total_pulses;
+    merged.mismatches += r.mismatches;
+    merged.transitions += r.transitions;
+    merged.latency += r.latency;
+    out.shard_transitions[s.tile] = r.transitions;
+  }
+  for (const double e : merged.op_energy) merged.total_energy += Energy(e);
 
   // Traffic replay: command out, completion back after the shard's
   // compute time.  Results stay resident in the tiles (the CIM point),

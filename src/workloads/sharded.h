@@ -13,11 +13,13 @@
 //     a release offset equal to the tile's compute time in NoC cycles,
 //     so compute and communication overlap exactly as they would in
 //     hardware;
-//   * every merge walks shards in tile order and every total is
-//     re-folded in global item order, so results — including the
-//     floating-point cost books — are bitwise identical at any
-//     MEMCIM_THREADS setting and reproduce a serial golden replay of
-//     the same shard plan (see tests/noc/sharded_golden_test.cpp).
+//   * each shard task writes its own slice of the merged per-item
+//     results (shards are contiguous and disjoint); after the join only
+//     the order-fixed folds run serially — per-shard books in tile
+//     order, every floating-point total re-folded in global item order
+//     — so results are bitwise identical at any MEMCIM_THREADS setting
+//     and reproduce a serial golden replay of the same shard plan (see
+//     tests/noc/sharded_golden_test.cpp).
 #pragma once
 
 #include <cstdint>
@@ -64,8 +66,9 @@ struct ShardedAddResult {
 /// whole-batch units (batch = params.adders, so each op keeps its
 /// physical adder slot), run the shards concurrently, replay the
 /// command/completion traffic, and merge.  Each tile instantiates the
-/// full `params.adders` farm and applies the same farm_hook.  The RNG
-/// draw order matches run_parallel_add exactly.
+/// full `params.adders` farm and applies the same farm_hook.  The
+/// operands come from draw_add_operands, as in run_parallel_add, so
+/// both leave `rng` at the same stream position.
 [[nodiscard]] ShardedAddResult sharded_parallel_add(
     TileFabric& fabric, const ParallelAddParams& params,
     const CrsCellParams& cell, Rng& rng);

@@ -223,11 +223,9 @@ TEST_P(CompareOracle, MatchesThePackedReplayAfterEveryOperation) {
   cfg.cell = presets::crs_cell();
   constexpr std::uint64_t kSeeds = 200;
   constexpr int kOpsPerSeed = 12;
-  // Compile the program before any delta is taken: a compile books the
-  // recording's fabric.* on whichever side misses the cache first.
-  isa::CompileOptions copts;
-  copts.cost = cfg.cost;
-  (void)isa::cached_word_equality(cfg.row_bits, copts);
+  // The tile compiles its program on its first compare, inside a delta
+  // window: a compile records the program, and a recording books no
+  // fabric.*.
 
   for (std::uint64_t seed = 1; seed <= kSeeds; ++seed) {
     CimTile tile(cfg);

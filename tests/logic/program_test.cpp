@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cstdint>
+#include <span>
+
 #include "common/error.h"
 #include "device/presets.h"
 #include "logic/adder.h"
@@ -11,6 +15,7 @@
 #include "logic/gates.h"
 #include "logic/ideal_fabric.h"
 #include "support/program_golden.h"
+#include "telemetry/telemetry.h"
 
 namespace memcim {
 namespace {
@@ -102,6 +107,35 @@ TEST(Program, SimdOnCrsBackend) {
        {true, false, false, false},   // differ
        {false, false, false, false}});
   EXPECT_EQ(r.outputs, (std::vector<bool>{true, false, true}));
+}
+
+/// A recording executes nothing, so recording a program (as every
+/// ProgramCache miss does) books no fabric.* micro-op.
+TEST(Program, RecordingBooksNoFabricTelemetry) {
+  const bool was = telemetry::enabled();
+  telemetry::set_enabled(true);
+  constexpr std::array<const char*, 5> kFabricCounters = {
+      "fabric.set", "fabric.imply", "fabric.read", "fabric.steps",
+      "fabric.writes"};
+  const auto read = [&] {
+    std::array<std::uint64_t, kFabricCounters.size()> values{};
+    for (std::size_t i = 0; i < values.size(); ++i)
+      values[i] =
+          telemetry::Registry::global().counter(kFabricCounters[i]).value();
+    return values;
+  };
+  const auto before = read();
+  const CimProgram p =
+      record_program(32, [](Fabric& f, const std::vector<Reg>& in) {
+        const std::span<const Reg> a(in.data(), 16);
+        const std::span<const Reg> b(in.data() + 16, 16);
+        return word_equality(f, a, b);
+      });
+  const auto after = read();
+  telemetry::set_enabled(was);
+  EXPECT_GT(p.length(), 0u);
+  for (std::size_t i = 0; i < kFabricCounters.size(); ++i)
+    EXPECT_EQ(after[i], before[i]) << kFabricCounters[i];
 }
 
 TEST(Program, Validation) {

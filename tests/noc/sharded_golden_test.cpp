@@ -9,6 +9,7 @@
 
 #include <cmath>
 #include <cstdint>
+#include <random>
 #include <vector>
 
 #include "common/parallel.h"
@@ -117,6 +118,25 @@ TEST(ShardedAdd, SingleTileFabricEqualsPlainFarmRun) {
   EXPECT_EQ(sharded.merged.transitions, plain.transitions);
   EXPECT_EQ(sharded.merged.total_energy.value(), plain.total_energy.value());
   EXPECT_EQ(sharded.merged.latency.value(), plain.latency.value());
+}
+
+/// The sharded run draws its operands as run_parallel_add does: both
+/// leave their Rng at the same stream position, one engine output per
+/// operand (a width-bit range never rejects a 64-bit output).
+TEST(ShardedAdd, LeavesTheRngWhereRunParallelAddDoes) {
+  const ParallelAddParams params = add_params();
+  const CrsCellParams cell = presets::crs_cell();
+  TileFabric fabric(fabric_cfg(2, 2));
+  Rng rng_sharded(42), rng_plain(42);
+  (void)sharded_parallel_add(fabric, params, cell, rng_sharded);
+  (void)run_parallel_add(params, cell, rng_plain);
+  std::mt19937_64 oracle(42);
+  oracle.discard(2 * params.operations);
+  for (int i = 0; i < 16; ++i) {
+    const std::uint64_t next = rng_sharded.engine()();
+    EXPECT_EQ(next, rng_plain.engine()()) << i;
+    EXPECT_EQ(next, oracle()) << i;
+  }
 }
 
 TEST(ShardedAdd, GoldenEqualityHoldsUnderArmedFaultHooks) {
