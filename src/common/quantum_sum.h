@@ -13,10 +13,13 @@
 //
 // so a packed kernel can convert an exact transition count into the
 // exact double the scalar accumulator would hold.  The table grows
-// lazily and is NOT thread-safe: confine each instance to one thread at
-// a time (the TC-adder farm keeps one per lane block for that reason).
+// lazily through sum(), or ahead of a kernel through grow_to(), and is
+// NOT thread-safe while it grows: grow it before a fan-out and only
+// read it inside one (the TC-adder farm grows its one table to a bound
+// before its lane blocks run, and they read it through data()).
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <vector>
 
@@ -39,8 +42,19 @@ class QuantumSumTable {
     return partial_[count];
   }
 
+  /// Grow the table through `count`, so data()[0..count] are valid.
+  void grow_to(std::size_t count) {
+    if (count >= partial_.size()) grow(count);
+  }
+  /// sum(k) for every k < size(), without a bounds test.
+  [[nodiscard]] const double* data() const { return partial_.data(); }
+  [[nodiscard]] std::size_t size() const { return partial_.size(); }
+
  private:
   [[gnu::noinline]] void grow(std::size_t count) {
+    // One allocation for a jump to a bound, doubling for small steps.
+    if (count >= partial_.capacity())
+      partial_.reserve(std::max(count + 1, 2 * partial_.capacity()));
     while (partial_.size() <= count)
       partial_.push_back(partial_.back() + quantum_);
   }

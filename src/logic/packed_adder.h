@@ -48,8 +48,18 @@
 // and an add's energy is an ordered fold over the slot's cells (carry,
 // scratch, then the sum cells in index order).  The farm keeps
 // per-(slot, cell) cumulative transition counts and replays the fold
-// through a QuantumSumTable, so every per-op energy double is the one
-// the pulse walk reports, bit for bit.
+// through one QuantumSumTable, so every per-op energy double is the one
+// the pulse walk reports, bit for bit.  run() grows that table before
+// its lane blocks fan out, through the largest count the run can reach
+// (the largest count any cell holds, plus ⌈ops/slots⌉ times the most
+// one add can raise a count, 2N + 1), and checks once afterwards that
+// no cell's count lay past it; inside the fan-out the blocks only read
+// it.  A lane block's fault-free slots below width 64 run row by row
+// (op rows outer, slots inner, so operands, sums and energies stream
+// contiguously), two slots side by side so their dependent energy folds
+// interleave; an op's old and new sum words become per-cell increments
+// through a byte-spread table.  Slots with a stuck cell, and every slot
+// at width 64, walk their ops one at a time instead.
 //
 // The pulse-by-pulse walk of the schedule on CrsCells
 // (tests/support/crs_tc_adder.h) is the farm's test oracle:
@@ -132,13 +142,14 @@ class PackedTcAdderFarm {
     bool scratch_one = false;  ///< a scratch stuck at 0 changes nothing
   };
 
-  /// The general per-slot path: any width, any stuck cells.  Returns
-  /// the slot's transitions and adds its absorbed pulses to `absorbed`.
+  /// The general per-slot path: any width, any stuck cells, one op at
+  /// a time down the slot's column.  Returns the slot's transitions and
+  /// adds its absorbed pulses to `absorbed`.
   std::uint64_t run_slot(std::size_t s, const StuckSlot& stuck,
                          const std::vector<std::uint64_t>& a,
                          const std::vector<std::uint64_t>& b,
-                         QuantumSumTable& table,
-                         PackedAddOutcome& out, std::uint64_t& absorbed);
+                         const double* table, PackedAddOutcome& out,
+                         std::uint64_t& absorbed);
 
   std::size_t slots_;
   std::size_t width_;
@@ -155,10 +166,14 @@ class PackedTcAdderFarm {
   std::vector<std::uint64_t> cum_carry_;   ///< carry-cell transitions
   std::vector<std::uint64_t> cum_sum_;     ///< [slot*width + i] sum-cell i
   std::vector<double> e_prev_;             ///< last ordered energy fold
-  /// One energy prefix-sum table per lane block, kept across runs: a
-  /// block runs on one thread at a time, and a table rebuilt per run
-  /// would redo a long-lived farm's whole history on every call.
-  std::vector<QuantumSumTable> block_sums_;
+  /// The farm's one energy prefix-sum table, kept across runs (a table
+  /// rebuilt per run would redo a long-lived farm's whole history on
+  /// every call).  run() grows it to its bound before the lane blocks
+  /// fan out; inside the fan-out it is read-only, through data().
+  QuantumSumTable energy_sums_;
+  /// The largest cumulative transition count of any cell: where the
+  /// next run's bound starts.
+  std::uint64_t max_count_ = 0;
   std::vector<StuckSlot> stuck_;           ///< sorted by slot
 };
 

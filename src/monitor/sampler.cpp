@@ -59,6 +59,26 @@ double bucket_quantile(const telemetry::HistogramSample& h, double q) {
   return h.upper_bounds.back();
 }
 
+/// Counter tap indices: the run-wide counters, then per class c the
+/// taps kClassTaps + 3c + {0, 1, 2} (admitted, shed, completed).
+enum CounterTapIndex : std::size_t {
+  kArrivals,
+  kAdmitted,
+  kShed,
+  kCompleted,
+  kBatches,
+  kBatchesPartial,
+  kBatchLanes,
+  kFlits,
+  kClassTaps,
+};
+
+constexpr const char* kRunWideCounters[kClassTaps] = {
+    "serving.arrivals",    "serving.admitted",        "serving.shed",
+    "serving.completed",   "serving.batches",         "serving.batches_partial",
+    "serving.batch_lanes", "serving.flits",
+};
+
 }  // namespace
 
 TimeSeriesSampler::TimeSeriesSampler(SamplerConfig config, SloEngine* slo)
@@ -66,6 +86,80 @@ TimeSeriesSampler::TimeSeriesSampler(SamplerConfig config, SloEngine* slo)
   MEMCIM_CHECK_MSG(config_.period_ns >= 1,
                    "sampler period must be >= 1 virtual ns");
   MEMCIM_CHECK_MSG(config_.capacity >= 1, "sampler ring needs capacity >= 1");
+  for (std::size_t i = 0; i < kClassTaps; ++i)
+    counters_[i].name = kRunWideCounters[i];
+  for (std::size_t c = 0; c < kRequestClasses; ++c) {
+    const std::string cls = to_string(static_cast<RequestClass>(c));
+    counters_[kClassTaps + 3 * c].name = "serving.admitted." + cls;
+    counters_[kClassTaps + 3 * c + 1].name = "serving.shed." + cls;
+    counters_[kClassTaps + 3 * c + 2].name = "serving.completed." + cls;
+    latency_[c].name = "serving.latency_ns." + cls;
+  }
+}
+
+void TimeSeriesSampler::resolve_taps() {
+  const telemetry::Registry& registry = telemetry::Registry::global();
+  for (CounterTap& tap : counters_)
+    if (tap.counter == nullptr) tap.counter = registry.find_counter(tap.name);
+  for (HistogramTap& tap : latency_) {
+    if (tap.histogram != nullptr) continue;
+    tap.histogram = registry.find_histogram(tap.name);
+    if (tap.histogram == nullptr) continue;
+    // Registered since the last boundary: its counts so far are this
+    // interval's.
+    const std::size_t buckets = tap.histogram->upper_bounds().size() + 1;
+    tap.prev_count = 0;
+    tap.prev_buckets.assign(buckets, 0);
+    tap.delta.upper_bounds = tap.histogram->upper_bounds();
+    tap.delta.bucket_counts.assign(buckets, 0);
+  }
+}
+
+std::array<std::uint64_t, TimeSeriesSampler::kCounterTaps>
+TimeSeriesSampler::advance_taps() {
+  resolve_taps();
+  std::array<std::uint64_t, kCounterTaps> now{};
+  for (std::size_t i = 0; i < kCounterTaps; ++i) {
+    const CounterTap& tap = counters_[i];
+    now[i] = tap.counter != nullptr ? tap.counter->value() : 0;
+    MEMCIM_CHECK_MSG(now[i] >= tap.prev,
+                     "time-series interval delta failed: counter '"
+                         << tap.name
+                         << "' went backwards (registry reset between "
+                            "snapshots?)");
+  }
+  // Each histogram's interval delta, checked before any tap advances.
+  for (HistogramTap& tap : latency_) {
+    if (tap.histogram == nullptr) continue;
+    const std::uint64_t count = tap.histogram->count();
+    MEMCIM_CHECK_MSG(count >= tap.prev_count,
+                     "time-series interval delta failed: histogram '"
+                         << tap.name
+                         << "' count went backwards (registry reset between "
+                            "snapshots?)");
+    tap.delta.count = count - tap.prev_count;
+    for (std::size_t i = 0; i < tap.prev_buckets.size(); ++i) {
+      const std::uint64_t bucket = tap.histogram->bucket_count(i);
+      MEMCIM_CHECK_MSG(bucket >= tap.prev_buckets[i],
+                       "time-series interval delta failed: histogram '"
+                           << tap.name << "' bucket " << i
+                           << " went backwards");
+      tap.delta.bucket_counts[i] = bucket - tap.prev_buckets[i];
+    }
+  }
+
+  std::array<std::uint64_t, kCounterTaps> deltas{};
+  for (std::size_t i = 0; i < kCounterTaps; ++i) {
+    deltas[i] = now[i] - counters_[i].prev;
+    counters_[i].prev = now[i];
+  }
+  for (HistogramTap& tap : latency_) {
+    if (tap.histogram == nullptr) continue;
+    tap.prev_count += tap.delta.count;
+    for (std::size_t i = 0; i < tap.prev_buckets.size(); ++i)
+      tap.prev_buckets[i] += tap.delta.bucket_counts[i];
+  }
+  return deltas;
 }
 
 void TimeSeriesSampler::on_run_start(const serving::ProbeState& state) {
@@ -73,7 +167,14 @@ void TimeSeriesSampler::on_run_start(const serving::ProbeState& state) {
   running_ = telemetry::enabled();
   if (!running_) return;
   interval_begin_ = 0;
-  prev_ = telemetry::Registry::global().snapshot();
+  // Start every tap from the registry as it stands: a rerun sharing the
+  // registry (reset in between or not) reports only its own intervals.
+  for (CounterTap& tap : counters_) {
+    tap.counter = nullptr;
+    tap.prev = 0;
+  }
+  for (HistogramTap& tap : latency_) tap.histogram = nullptr;
+  (void)advance_taps();
   const telemetry::AttrDelta totals =
       telemetry::AttributionBook::global().totals();
   prev_energy_aj_ = totals.energy_aj;
@@ -105,24 +206,20 @@ void TimeSeriesSampler::on_run_end(VirtualNs end,
 
 void TimeSeriesSampler::close_interval(VirtualNs begin, VirtualNs end,
                                        const serving::ProbeState& state) {
-  telemetry::MetricsSnapshot snap = telemetry::Registry::global().snapshot();
-  telemetry::MetricsSnapshot d;
-  std::string error;
-  MEMCIM_CHECK_MSG(snap.delta(prev_, d, error),
-                   "time-series interval delta failed: " << error);
+  const std::array<std::uint64_t, kCounterTaps> d = advance_taps();
 
   Sample s;
   s.interval = intervals_++;
   s.begin = begin;
   s.end = end;
-  s.arrivals = d.counter("serving.arrivals");
-  s.admitted = d.counter("serving.admitted");
-  s.shed = d.counter("serving.shed");
-  s.completed = d.counter("serving.completed");
-  s.batches = d.counter("serving.batches");
-  s.partial_batches = d.counter("serving.batches_partial");
-  s.batch_lanes = d.counter("serving.batch_lanes");
-  s.flits = d.counter("serving.flits");
+  s.arrivals = d[kArrivals];
+  s.admitted = d[kAdmitted];
+  s.shed = d[kShed];
+  s.completed = d[kCompleted];
+  s.batches = d[kBatches];
+  s.partial_batches = d[kBatchesPartial];
+  s.batch_lanes = d[kBatchLanes];
+  s.flits = d[kFlits];
   s.queue_depth = state.queue_depth;
 
   const telemetry::AttrDelta totals =
@@ -142,25 +239,24 @@ void TimeSeriesSampler::close_interval(VirtualNs begin, VirtualNs end,
   input.queue_depth = state.queue_depth;
 
   for (std::size_t c = 0; c < kRequestClasses; ++c) {
-    const std::string cls = to_string(static_cast<RequestClass>(c));
     Sample::PerClass& pc = s.classes[c];
-    pc.admitted = d.counter("serving.admitted." + cls);
-    pc.shed = d.counter("serving.shed." + cls);
-    pc.completed = d.counter("serving.completed." + cls);
+    pc.admitted = d[kClassTaps + 3 * c];
+    pc.shed = d[kClassTaps + 3 * c + 1];
+    pc.completed = d[kClassTaps + 3 * c + 2];
     input.class_completed[c] = pc.completed;
-    if (const telemetry::HistogramSample* h =
-            d.histogram("serving.latency_ns." + cls);
-        h != nullptr && h->count > 0) {
-      pc.p50_ns = bucket_quantile(*h, 50.0);
-      pc.p95_ns = bucket_quantile(*h, 95.0);
-      pc.p99_ns = bucket_quantile(*h, 99.0);
+    const HistogramTap& tap = latency_[c];
+    if (tap.histogram != nullptr && tap.delta.count > 0) {
+      const telemetry::HistogramSample& h = tap.delta;
+      pc.p50_ns = bucket_quantile(h, 50.0);
+      pc.p95_ns = bucket_quantile(h, 95.0);
+      pc.p99_ns = bucket_quantile(h, 99.0);
       if (slo_ != nullptr) {
         for (const SloObjective& o : slo_->config().objectives) {
           if (o.kind != SloKind::kLatency ||
               static_cast<std::size_t>(o.cls) != c)
             continue;
           input.class_bad_latency[c] =
-              count_over(*h, static_cast<double>(o.latency_target_ns));
+              count_over(h, static_cast<double>(o.latency_target_ns));
           break;
         }
       }
@@ -177,13 +273,16 @@ void TimeSeriesSampler::close_interval(VirtualNs begin, VirtualNs end,
                                      static_cast<double>(s.batches);
 
   samples_.push_back(std::move(s));
-  telemetry::Registry::global().counter("monitor.samples").add(1);
+  static telemetry::Counter& samples =
+      telemetry::Registry::global().counter("monitor.samples");
+  samples.add(1);
   if (samples_.size() > config_.capacity) {
     samples_.pop_front();
     ++dropped_;
-    telemetry::Registry::global().counter("monitor.samples_dropped").add(1);
+    static telemetry::Counter& dropped =
+        telemetry::Registry::global().counter("monitor.samples_dropped");
+    dropped.add(1);
   }
-  prev_ = std::move(snap);
 
   if (slo_ != nullptr) {
     slo_->observe(input);

@@ -2,10 +2,12 @@
 // layer's end-of-run aggregate telemetry into a per-interval series.
 //
 // At every sample boundary (a multiple of the configured virtual-ns
-// period) the sampler snapshots the telemetry registry and the
-// attribution book, computes the exact delta against the previous
-// boundary's snapshot (MetricsSnapshot::delta — u64 subtraction, no
-// estimation), and appends one Sample to a bounded ring.  Interval
+// period) the sampler reads the serving counters and per-class latency
+// histograms it reports, and the attribution book, subtracts their
+// values at the previous boundary (exact u64 subtraction, no
+// estimation), and appends one Sample to a bounded ring.  It resolves
+// those metrics once per run and registers none of them: a metric the
+// service has not registered yet reads 0 until it appears.  Interval
 // latency quantiles come from per-interval histogram-bucket deltas
 // alone (bucket upper bounds, no min/max clamp — the live histogram's
 // min/max span the whole process, not the interval), so a latency
@@ -28,6 +30,7 @@
 #include <array>
 #include <cstdint>
 #include <deque>
+#include <string>
 #include <vector>
 
 #include "monitor/slo.h"
@@ -108,6 +111,34 @@ class TimeSeriesSampler : public serving::ServiceProbe {
   [[nodiscard]] const SloEngine* slo() const { return slo_; }
 
  private:
+  /// A registry counter a Sample reads, and its value at the previous
+  /// boundary.
+  struct CounterTap {
+    std::string name;
+    const telemetry::Counter* counter = nullptr;  ///< until registered
+    std::uint64_t prev = 0;
+  };
+  /// A per-class latency histogram, its counts at the previous
+  /// boundary, and the interval's delta (bounds, count, buckets).
+  struct HistogramTap {
+    std::string name;
+    const telemetry::Histogram* histogram = nullptr;  ///< until registered
+    std::uint64_t prev_count = 0;
+    std::vector<std::uint64_t> prev_buckets;
+    telemetry::HistogramSample delta;
+  };
+
+  /// The eight run-wide serving counters, then admitted, shed and
+  /// completed per class.
+  static constexpr std::size_t kCounterTaps = 8 + 3 * kRequestClasses;
+
+  /// Look up the taps not resolved yet.
+  void resolve_taps();
+  /// Advance every tap to the current boundary: returns each counter
+  /// tap's interval delta and fills each histogram tap's `delta`.
+  /// Throws Error, advancing nothing, when a count went backwards (a
+  /// registry reset between boundaries).
+  std::array<std::uint64_t, kCounterTaps> advance_taps();
   void close_interval(VirtualNs begin, VirtualNs end,
                       const serving::ProbeState& state);
 
@@ -119,7 +150,8 @@ class TimeSeriesSampler : public serving::ServiceProbe {
   std::uint64_t dropped_ = 0;
   std::size_t slo_events_seen_ = 0;
   std::uint64_t trace_wall_base_ns_ = 0;
-  telemetry::MetricsSnapshot prev_;
+  std::array<CounterTap, kCounterTaps> counters_;
+  std::array<HistogramTap, kRequestClasses> latency_;
   std::uint64_t prev_energy_aj_ = 0;
   std::uint64_t prev_pulses_ = 0;
   std::deque<Sample> samples_;

@@ -77,9 +77,17 @@ SloConfig default_serving_slos(std::size_t queue_high_water) {
 
 namespace {
 
-/// Burn over a window of (bad, total) interval pairs: summed counts,
-/// not averaged per-interval fractions, so quiet intervals don't
-/// dilute a burst unfairly.
+/// Burn over a window's summed (bad, total) counts: summed counts, not
+/// averaged per-interval fractions, so quiet intervals don't dilute a
+/// burst unfairly.
+double burn(std::uint64_t bad, std::uint64_t total, double target) {
+  if (total == 0) return 0.0;
+  const double budget = 1.0 - target;
+  if (budget <= 0.0) return bad == 0 ? 0.0 : std::numeric_limits<double>::infinity();
+  return (static_cast<double>(bad) / static_cast<double>(total)) / budget;
+}
+
+/// Burn over the last `span` (bad, total) interval pairs of `window`.
 double window_burn(
     const std::deque<std::pair<std::uint64_t, std::uint64_t>>& window,
     std::size_t span, double target) {
@@ -90,10 +98,7 @@ double window_burn(
     bad += window[i].first;
     total += window[i].second;
   }
-  if (total == 0) return 0.0;
-  const double budget = 1.0 - target;
-  if (budget <= 0.0) return bad == 0 ? 0.0 : std::numeric_limits<double>::infinity();
-  return (static_cast<double>(bad) / static_cast<double>(total)) / budget;
+  return burn(bad, total, target);
 }
 
 }  // namespace
@@ -137,9 +142,15 @@ void SloEngine::observe(const IntervalInput& in) {
       total = in.class_completed[c];
     }
     st.window.push_back({bad, total});
-    while (st.window.size() > o.slow_window) st.window.pop_front();
+    st.bad += bad;
+    st.total += total;
+    while (st.window.size() > o.slow_window) {
+      st.bad -= st.window.front().first;
+      st.total -= st.window.front().second;
+      st.window.pop_front();
+    }
     const double fast = window_burn(st.window, o.fast_window, o.target_ratio);
-    const double slow = window_burn(st.window, o.slow_window, o.target_ratio);
+    const double slow = burn(st.bad, st.total, o.target_ratio);
     const bool firing = fast > o.burn_threshold && slow > o.burn_threshold;
     if (firing && !st.active)
       emit(HealthEventKind::kBurnRateAlert, o.name, in, std::min(fast, slow),

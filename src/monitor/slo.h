@@ -145,7 +145,10 @@ class SloEngine {
 
  private:
   struct ObjectiveState {
-    std::deque<std::pair<std::uint64_t, std::uint64_t>> window;  // (bad, total)
+    /// The slow window's (bad, total) interval pairs, and their sums.
+    std::deque<std::pair<std::uint64_t, std::uint64_t>> window;
+    std::uint64_t bad = 0;
+    std::uint64_t total = 0;
     bool active = false;
   };
 

@@ -66,6 +66,7 @@ void AttributionBook::record(const AttrKey& key, const AttrDelta& delta) {
   {
     std::lock_guard<std::mutex> lock(mutex_);
     rows_[key] += delta;
+    total_ += delta;
   }
   LayerCounters& c = layer_counters(key.layer);
   if (delta.energy_aj != 0) c.energy_aj.add(delta.energy_aj);
@@ -84,9 +85,7 @@ std::vector<AttrRecord> AttributionBook::snapshot() const {
 
 AttrDelta AttributionBook::totals() const {
   std::lock_guard<std::mutex> lock(mutex_);
-  AttrDelta sum;
-  for (const auto& [key, delta] : rows_) sum += delta;
-  return sum;
+  return total_;
 }
 
 AttrDelta AttributionBook::layer_totals(AttrLayer layer) const {
@@ -100,6 +99,7 @@ AttrDelta AttributionBook::layer_totals(AttrLayer layer) const {
 void AttributionBook::reset() {
   std::lock_guard<std::mutex> lock(mutex_);
   rows_.clear();
+  total_ = AttrDelta{};
 }
 
 void attribute_energy(AttrLayer layer, std::uint32_t tile, std::uint32_t shard,

@@ -112,6 +112,7 @@ class AttributionBook {
 
   mutable std::mutex mutex_;
   std::map<AttrKey, AttrDelta> rows_;
+  AttrDelta total_;  ///< the rows' column sums, kept as they book
 };
 
 /// Convenience wrappers charging one column; `joules` is quantised via

@@ -184,68 +184,6 @@ double HistogramSample::percentile(double q) const {
   return max;  // unreachable when bucket_counts sums to count
 }
 
-bool MetricsSnapshot::delta(const MetricsSnapshot& earlier,
-                            MetricsSnapshot& out, std::string& error) const {
-  MetricsSnapshot result;
-  result.counters.reserve(counters.size());
-  for (const CounterSample& later : counters) {
-    const std::uint64_t before = earlier.counter(later.name);
-    if (before > later.value) {
-      error = "counter '" + later.name +
-              "' went backwards (registry reset between snapshots?)";
-      return false;
-    }
-    result.counters.push_back({later.name, later.value - before});
-  }
-  // A nonzero counter that vanished means the "later" snapshot predates
-  // the "earlier" one (or came from a different registry).
-  for (const CounterSample& before : earlier.counters) {
-    if (before.value == 0) continue;
-    bool present = false;
-    for (const CounterSample& later : counters)
-      if (later.name == before.name) {
-        present = true;
-        break;
-      }
-    if (!present) {
-      error = "counter '" + before.name +
-              "' present earlier but missing later (snapshots swapped?)";
-      return false;
-    }
-  }
-  result.gauges = gauges;
-  result.histograms.reserve(histograms.size());
-  for (const HistogramSample& later : histograms) {
-    const HistogramSample* before = earlier.histogram(later.name);
-    HistogramSample d = later;  // keeps bounds and the later min/max
-    if (before != nullptr) {
-      if (before->upper_bounds != later.upper_bounds ||
-          before->bucket_counts.size() != later.bucket_counts.size()) {
-        error = "histogram '" + later.name +
-                "' changed bounds between snapshots";
-        return false;
-      }
-      if (before->count > later.count) {
-        error = "histogram '" + later.name +
-                "' count went backwards (registry reset between snapshots?)";
-        return false;
-      }
-      for (std::size_t i = 0; i < d.bucket_counts.size(); ++i) {
-        if (before->bucket_counts[i] > later.bucket_counts[i]) {
-          error = "histogram '" + later.name + "' bucket " +
-                  std::to_string(i) + " went backwards";
-          return false;
-        }
-        d.bucket_counts[i] -= before->bucket_counts[i];
-      }
-      d.count -= before->count;
-    }
-    result.histograms.push_back(std::move(d));
-  }
-  out = std::move(result);
-  return true;
-}
-
 std::uint64_t MetricsSnapshot::counter(std::string_view name) const {
   for (const CounterSample& c : counters)
     if (c.name == name) return c.value;
@@ -303,6 +241,18 @@ Histogram& Registry::histogram(std::string_view name,
                                                   std::move(upper_bounds)))
              .first;
   return *it->second;
+}
+
+const Counter* Registry::find_counter(std::string_view name) const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  const auto it = counters_.find(name);
+  return it == counters_.end() ? nullptr : it->second.get();
+}
+
+const Histogram* Registry::find_histogram(std::string_view name) const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  const auto it = histograms_.find(name);
+  return it == histograms_.end() ? nullptr : it->second.get();
 }
 
 MetricsSnapshot Registry::snapshot() const {

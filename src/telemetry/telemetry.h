@@ -227,6 +227,10 @@ class Histogram {
     return count_.load(std::memory_order_relaxed);
   }
   [[nodiscard]] std::vector<std::uint64_t> bucket_counts() const;
+  /// Bucket i's count (i <= upper_bounds().size(), the overflow bucket).
+  [[nodiscard]] std::uint64_t bucket_count(std::size_t i) const {
+    return buckets_[i].load(std::memory_order_relaxed);
+  }
   /// +inf / -inf respectively while the histogram is empty.
   [[nodiscard]] double min() const;
   [[nodiscard]] double max() const;
@@ -289,21 +293,6 @@ struct MetricsSnapshot {
   [[nodiscard]] std::uint64_t counter(std::string_view name) const;
   /// Histogram by name; nullptr when absent.
   [[nodiscard]] const HistogramSample* histogram(std::string_view name) const;
-
-  /// Interval arithmetic: `out` = *this − `earlier`, where *this is the
-  /// later snapshot of the same registry.  Counters subtract (a metric
-  /// absent from `earlier` registered mid-interval and subtracts from
-  /// 0); histograms subtract per-bucket, keeping the later min/max
-  /// (interval extrema are not tracked); gauges keep the later value
-  /// (they are instantaneous, not cumulative).  Returns false with
-  /// `error` set — and `out` untouched — when any counter or bucket
-  /// would underflow or a histogram's bounds changed between the
-  /// snapshots: both mean `earlier` is not actually an earlier snapshot
-  /// of the same registry epoch (a reset in between, or snapshots
-  /// swapped).  Because every input is an exact u64 tally, the delta is
-  /// bitwise deterministic at any thread count.
-  [[nodiscard]] bool delta(const MetricsSnapshot& earlier, MetricsSnapshot& out,
-                           std::string& error) const;
 };
 
 // ---------------------------------------------------------------------------
@@ -326,6 +315,9 @@ class Registry {
   /// `upper_bounds` and return the existing histogram.
   [[nodiscard]] Histogram& histogram(std::string_view name,
                                      std::vector<double> upper_bounds);
+  /// The metric registered under `name`, or nullptr; registers nothing.
+  [[nodiscard]] const Counter* find_counter(std::string_view name) const;
+  [[nodiscard]] const Histogram* find_histogram(std::string_view name) const;
 
   [[nodiscard]] MetricsSnapshot snapshot() const;
 

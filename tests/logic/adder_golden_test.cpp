@@ -1,10 +1,13 @@
 // Golden-vector differential tests for the two adder designs, the IMPLY
 // ripple adder and the CRS TC-adder farm: every sum is checked against
 // plain integer addition — exhaustively over all 8-bit operand pairs,
-// and with seeded-random 32-bit pairs.
+// and with seeded-random 32-bit pairs.  A batch-sized farm's sums,
+// energies and transitions are also pinned to recorded constants.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdint>
+#include <vector>
 
 #include "common/rng.h"
 #include "device/presets.h"
@@ -77,6 +80,55 @@ TEST(AdderGolden, TcAdderSeededRandom32Bit) {
     const PackedAddOutcome r = adder.run({a}, {b});
     ASSERT_EQ(r.sums.front(), (a + b) & mask) << a << " + " << b;
     ASSERT_EQ(adder.carry_out(0), (a + b) > mask) << a << " + " << b;
+  }
+}
+
+/// FNV-1a over the eight bytes of `value`, low byte first.
+std::uint64_t fnv1a(std::uint64_t hash, std::uint64_t value) {
+  for (int byte = 0; byte < 8; ++byte) {
+    hash ^= (value >> (8 * byte)) & 0xFFu;
+    hash *= 0x0000'0100'0000'01B3u;
+  }
+  return hash;
+}
+
+TEST(AdderGolden, LargeFarmMatchesTheParentBitForBit) {
+  // The batch workload's farm shape, reused over three runs, so the
+  // later runs start from counts far past a fresh energy table.  The
+  // constants were recorded from the farm's earlier per-slot fold (one
+  // slot's ops at a time, one lazily grown energy table per lane
+  // block).
+  struct Want {
+    std::uint64_t sums;
+    std::uint64_t energies;
+    std::uint64_t transitions;
+  };
+  constexpr Want kWant[] = {
+      {0xCC3C'F1ED'BE76'BD55u, 0x454A'E33A'6BD6'C3DBu, 1'275'605},
+      {0xA066'4490'6BD2'AD6Au, 0x7561'BA5A'0C13'7E91u, 1'278'654},
+      {0xA16D'99D6'224A'1E60u, 0x6CAC'4FEC'FF68'2443u, 1'280'944},
+  };
+  constexpr std::size_t kOps = 20'000;
+  const std::uint64_t mask = 0xFFFFFFFFu;
+  PackedTcAdderFarm farm(256, 32, presets::crs_cell());
+  Rng rng(0xFA12);
+  for (const Want& want : kWant) {
+    std::vector<std::uint64_t> a(kOps), b(kOps);
+    for (std::size_t op = 0; op < kOps; ++op) {
+      a[op] = rng.engine()() & mask;
+      b[op] = rng.engine()() & mask;
+    }
+    const PackedAddOutcome got = farm.run(a, b);
+    std::uint64_t sums = 0xCBF2'9CE4'8422'2325u;
+    std::uint64_t energies = sums;
+    for (std::size_t op = 0; op < kOps; ++op) {
+      ASSERT_EQ(got.sums[op], (a[op] + b[op]) & mask) << "op " << op;
+      sums = fnv1a(sums, got.sums[op]);
+      energies = fnv1a(energies, std::bit_cast<std::uint64_t>(got.energies[op]));
+    }
+    EXPECT_EQ(sums, want.sums);
+    EXPECT_EQ(energies, want.energies);
+    EXPECT_EQ(got.transitions, want.transitions);
   }
 }
 

@@ -145,6 +145,46 @@ TEST(TimeSeriesSampler, HealthyRunStaysGreen) {
   EXPECT_EQ(engine.alerts_fired(), 0u);
 }
 
+TEST(TimeSeriesSampler, RegistersNothingAndReadsCountersThatAppearMidRun) {
+  telemetry::set_enabled(true);
+  const telemetry::Registry& registry = telemetry::Registry::global();
+  // Earlier tests of this process may have registered these; the
+  // sampler itself must register none of them.
+  const bool had_flits = registry.find_counter("serving.flits") != nullptr;
+  const bool had_latency =
+      registry.find_histogram("serving.latency_ns.kmer") != nullptr;
+  TimeSeriesSampler sampler({1'000, 16});
+  const serving::ProbeState state;
+  sampler.on_run_start(state);
+  sampler.on_sample(1'000, state);
+  EXPECT_EQ(registry.find_counter("serving.flits") != nullptr, had_flits);
+  EXPECT_EQ(registry.find_histogram("serving.latency_ns.kmer") != nullptr,
+            had_latency);
+
+  // A counter registered (or moved) after the run started counts from
+  // its value at the last boundary.
+  telemetry::Registry::global().counter("serving.flits").add(7);
+  sampler.on_sample(2'000, state);
+  sampler.on_run_end(2'500, state);
+  ASSERT_EQ(sampler.samples().size(), 3u);
+  EXPECT_EQ(sampler.samples()[0].flits, 0u);
+  EXPECT_EQ(sampler.samples()[1].flits, 7u);
+  EXPECT_EQ(sampler.samples()[2].flits, 0u);
+}
+
+TEST(TimeSeriesSampler, ACounterGoingBackwardsThrows) {
+  telemetry::set_enabled(true);
+  telemetry::Registry& registry = telemetry::Registry::global();
+  registry.counter("serving.arrivals").add(3);
+  TimeSeriesSampler sampler({1'000, 16});
+  const serving::ProbeState state;
+  sampler.on_run_start(state);
+  // Zeroes every metric: arrivals now reads below its value at the
+  // run's start, which no interval can explain.
+  registry.reset();
+  EXPECT_THROW(sampler.on_sample(1'000, state), Error);
+}
+
 TEST(TimeSeriesSampler, RejectsDegenerateConfig) {
   EXPECT_THROW(TimeSeriesSampler({0, 16}), Error);
   EXPECT_THROW(TimeSeriesSampler({1000, 0}), Error);

@@ -1,11 +1,11 @@
-// MetricsSnapshot::delta is the monitoring plane's foundation: every
-// time-series interval is one delta of two registry snapshots, so its
-// arithmetic must be exact and its error paths must refuse snapshots
-// that are not two points on the same registry epoch.
+// snapshot_delta (tests/support/) subtracts two whole-registry
+// snapshots: its arithmetic must be exact and its error paths must
+// refuse snapshots that are not two points on the same registry epoch.
 #include <gtest/gtest.h>
 
 #include <string>
 
+#include "support/snapshot_delta.h"
 #include "telemetry/telemetry.h"
 
 namespace memcim {
@@ -15,6 +15,7 @@ using telemetry::CounterSample;
 using telemetry::GaugeSample;
 using telemetry::HistogramSample;
 using telemetry::MetricsSnapshot;
+using telemetry::snapshot_delta;
 
 HistogramSample make_hist(const std::string& name,
                           std::vector<double> bounds,
@@ -36,7 +37,7 @@ TEST(SnapshotDelta, CountersSubtractExactly) {
 
   MetricsSnapshot out;
   std::string error;
-  ASSERT_TRUE(later.delta(earlier, out, error)) << error;
+  ASSERT_TRUE(snapshot_delta(later, earlier, out, error)) << error;
   EXPECT_EQ(out.counter("a"), 15u);
   EXPECT_EQ(out.counter("b"), 7u);
   // Absent from `earlier` means the counter registered mid-interval
@@ -52,7 +53,7 @@ TEST(SnapshotDelta, GaugesKeepTheLaterValue) {
 
   MetricsSnapshot out;
   std::string error;
-  ASSERT_TRUE(later.delta(earlier, out, error)) << error;
+  ASSERT_TRUE(snapshot_delta(later, earlier, out, error)) << error;
   ASSERT_EQ(out.gauges.size(), 1u);
   EXPECT_EQ(out.gauges[0].value, 9.75);
 }
@@ -65,7 +66,7 @@ TEST(SnapshotDelta, HistogramsSubtractPerBucket) {
 
   MetricsSnapshot out;
   std::string error;
-  ASSERT_TRUE(later.delta(earlier, out, error)) << error;
+  ASSERT_TRUE(snapshot_delta(later, earlier, out, error)) << error;
   const HistogramSample* d = out.histogram("h");
   ASSERT_NE(d, nullptr);
   EXPECT_EQ(d->count, 7u);
@@ -84,7 +85,7 @@ TEST(SnapshotDelta, CounterUnderflowIsRefused) {
   MetricsSnapshot out;
   out.counters = {{"sentinel", 1}};
   std::string error;
-  EXPECT_FALSE(later.delta(earlier, out, error));
+  EXPECT_FALSE(snapshot_delta(later, earlier, out, error));
   EXPECT_NE(error.find("went backwards"), std::string::npos) << error;
   // `out` untouched on failure.
   ASSERT_EQ(out.counters.size(), 1u);
@@ -98,7 +99,7 @@ TEST(SnapshotDelta, VanishedNonzeroCounterIsRefused) {
 
   MetricsSnapshot out;
   std::string error;
-  EXPECT_FALSE(later.delta(earlier, out, error));
+  EXPECT_FALSE(snapshot_delta(later, earlier, out, error));
   EXPECT_NE(error.find("missing later"), std::string::npos) << error;
 }
 
@@ -110,7 +111,7 @@ TEST(SnapshotDelta, HistogramBoundsChangeIsRefused) {
 
   MetricsSnapshot out;
   std::string error;
-  EXPECT_FALSE(later.delta(earlier, out, error));
+  EXPECT_FALSE(snapshot_delta(later, earlier, out, error));
   EXPECT_NE(error.find("bounds"), std::string::npos) << error;
 }
 
@@ -122,7 +123,7 @@ TEST(SnapshotDelta, HistogramBucketUnderflowIsRefused) {
 
   MetricsSnapshot out;
   std::string error;
-  EXPECT_FALSE(later.delta(earlier, out, error));
+  EXPECT_FALSE(snapshot_delta(later, earlier, out, error));
 }
 
 TEST(SnapshotDelta, RegistryRoundTrip) {
@@ -141,7 +142,7 @@ TEST(SnapshotDelta, RegistryRoundTrip) {
 
   MetricsSnapshot out;
   std::string error;
-  ASSERT_TRUE(later.delta(earlier, out, error)) << error;
+  ASSERT_TRUE(snapshot_delta(later, earlier, out, error)) << error;
   EXPECT_EQ(out.counter("delta.roundtrip.counter"), 40u);
   const HistogramSample* d = out.histogram("delta.roundtrip.hist");
   ASSERT_NE(d, nullptr);
