@@ -13,7 +13,8 @@
 //    (2·rows·cols unknowns).  This exposes IR-drop along the lines.
 //
 // Nonlinear junctions (selectors, CRS, sinh I–V devices) are handled by
-// damped fixed-point iteration on the junction chord conductances.
+// damped fixed-point iteration on the junction chord conductances; both
+// models run through the same loop (docs/SOLVER.md).
 #pragma once
 
 #include <cstddef>
@@ -43,16 +44,10 @@ struct CrossbarConfig {
   Resistance wire_segment{1.0};
   /// Source impedance of every line driver; 0 = ideal drivers.
   Resistance driver{0.0};
-  /// Fixed-point iteration controls for nonlinear junctions.
-  std::size_t max_nonlinear_iterations = 120;
-  double nonlinear_tolerance = 1e-6;  ///< max |ΔV| between sweeps, volts
-  double damping = 0.7;               ///< new = λ·solved + (1−λ)·old
   /// Linear-backend crossover: systems with at most this many unknowns
   /// go to dense LU, larger ones to Jacobi-preconditioned CG.  Applies
   /// to both network models.
   std::size_t dense_solver_max_unknowns = 200;
-  /// CG convergence target, relative to ‖rhs‖₂.
-  double cg_tolerance = 1e-12;
   /// Assemble the nodal CSR structure once per solve and refresh only
   /// junction conductances on later sweeps.  Off = re-assemble every
   /// sweep (the pre-overhaul behavior, kept for benchmarking).
@@ -90,7 +85,10 @@ struct CrossbarSolution {
 class CrossbarArray {
  public:
   /// Build a rows×cols array whose every junction is a clone of
-  /// `prototype`.
+  /// `prototype`.  Throws memcim::Error, before it allocates, unless rows
+  /// and cols are positive with at most kMaxCrsCells junctions,
+  /// wire_segment is finite and positive and driver is finite and not
+  /// negative.
   CrossbarArray(const CrossbarConfig& config, const Device& prototype);
 
   [[nodiscard]] std::size_t rows() const { return config_.rows; }
@@ -117,20 +115,16 @@ class CrossbarArray {
   [[nodiscard]] Energy total_device_energy() const;
 
  private:
-  [[nodiscard]] CrossbarSolution solve_lumped(const LineBias& bias) const;
-  [[nodiscard]] CrossbarSolution solve_distributed(const LineBias& bias) const;
-
   CrossbarConfig config_;
   std::vector<std::unique_ptr<Device>> devices_;  // row-major
 
-  /// Warm-start caches: node voltages of the previous solve, reused as
+  /// Warm-start cache: node voltages of the previous solve, reused as
   /// the next solve's initial guess (and the CG seed) when
   /// config_.warm_start is on.  Mutable bookkeeping only — the solution
   /// a solve converges to is unchanged; concurrent solve() calls on the
   /// *same* array are not supported (distinct arrays are fine, which is
   /// what the workload fan-out uses).
-  mutable std::vector<double> warm_lumped_;       // rows()+cols() entries
-  mutable std::vector<double> warm_distributed_;  // 2·rows()·cols() entries
+  mutable std::vector<double> warm_;
 };
 
 }  // namespace memcim

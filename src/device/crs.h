@@ -113,12 +113,13 @@ struct CrsCellParams {
 void check_crs_cell_params(const CrsCellParams& params);
 
 /// Ceiling on the CRS cells one structure (a CrsMemory bank, a CrsCam,
-/// a TC-adder farm) may hold, checked before it allocates.  Each keeps
-/// at least 3 bits of state per cell and CrsMemory 8 bytes (its
-/// per-cell transition book), so 2^32 cells already asks for 1.5 to
-/// 32 GiB, far past any array the paper sizes or a host here holds.  A
-/// larger shape is a configuration error: the ceiling turns it into
-/// memcim::Error instead of std::bad_alloc.
+/// a TC-adder farm) may hold, and on a CrossbarArray's junctions,
+/// checked before it allocates.  Each keeps at least 3 bits of state
+/// per cell and CrsMemory 8 bytes (its per-cell transition book), so
+/// 2^32 cells already asks for 1.5 to 32 GiB, far past any array the
+/// paper sizes or a host here holds.  A larger shape is a configuration
+/// error: the ceiling turns it into memcim::Error instead of
+/// std::bad_alloc.
 inline constexpr std::uint64_t kMaxCrsCells = std::uint64_t{1} << 32;
 
 namespace detail {

@@ -14,13 +14,9 @@ namespace detail {
 
 namespace {
 bool initial_enabled() {
-#if MEMCIM_TELEMETRY_COMPILED
   if (const char* env = std::getenv("MEMCIM_TELEMETRY"))
     return !(env[0] == '0' && env[1] == '\0');
   return true;
-#else
-  return false;
-#endif
 }
 }  // namespace
 
@@ -35,11 +31,7 @@ std::size_t assign_shard() {
 }  // namespace detail
 
 void set_enabled(bool on) {
-#if MEMCIM_TELEMETRY_COMPILED
   detail::g_enabled.store(on, std::memory_order_relaxed);
-#else
-  (void)on;
-#endif
 }
 
 namespace {

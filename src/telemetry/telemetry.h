@@ -6,8 +6,7 @@
 //
 //  * Low overhead — every instrumented hot path costs exactly one
 //    predictable branch when telemetry is disabled (the default can be
-//    flipped with MEMCIM_TELEMETRY=0, at runtime with set_enabled(),
-//    or compiled out entirely with -DMEMCIM_TELEMETRY_COMPILED=0).
+//    flipped with MEMCIM_TELEMETRY=0, or at runtime with set_enabled()).
 //  * Thread-safe and deterministic — counters are sharded per thread
 //    and merged on snapshot; a counter total is an exact sum of u64
 //    increments, so every tally is bitwise identical for any
@@ -31,10 +30,6 @@
 #include <string_view>
 #include <vector>
 
-#ifndef MEMCIM_TELEMETRY_COMPILED
-#define MEMCIM_TELEMETRY_COMPILED 1
-#endif
-
 namespace memcim::telemetry {
 
 namespace detail {
@@ -57,11 +52,7 @@ inline constexpr std::size_t kCounterShards = 16;
 /// The one branch every instrumented hot path pays when telemetry is
 /// off.
 [[nodiscard]] inline bool enabled() {
-#if MEMCIM_TELEMETRY_COMPILED
   return detail::g_enabled.load(std::memory_order_relaxed);
-#else
-  return false;
-#endif
 }
 
 /// Flip collection at runtime (tests and the overhead bench use this).
@@ -71,11 +62,7 @@ void set_enabled(bool on);
 /// (see trace_export.h); spans only append trace events when both
 /// enabled() and tracing() hold.
 [[nodiscard]] inline bool tracing() {
-#if MEMCIM_TELEMETRY_COMPILED
   return detail::g_tracing.load(std::memory_order_relaxed);
-#else
-  return false;
-#endif
 }
 
 /// Monotonic nanoseconds since the process telemetry epoch.

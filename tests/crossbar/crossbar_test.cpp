@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <numeric>
+#include <utility>
 
 #include "common/error.h"
 #include "device/presets.h"
@@ -185,9 +187,30 @@ TEST(Crossbar, LargeArrayUsesIterativeSolverAndConverges) {
 TEST(Crossbar, ConfigValidation) {
   CrossbarConfig cfg;  // rows = cols = 0
   EXPECT_THROW(CrossbarArray(cfg, lrs_proto()), Error);
-  cfg = lumped(2);
-  cfg.damping = 0.0;
-  EXPECT_THROW(CrossbarArray(cfg, lrs_proto()), Error);
+  // Past kMaxCrsCells junctions, including a shape whose rows·cols wraps
+  // to 0, and non-finite resistances throw before the array is
+  // allocated (an allocation this size would throw std::bad_alloc).
+  const std::size_t two32 = std::size_t{1} << 32;
+  for (const auto& [rows, cols] :
+       {std::pair{two32, two32}, std::pair{two32 + 1, std::size_t{2}},
+        std::pair{std::size_t{3}, two32}}) {
+    cfg = lumped(1);
+    cfg.rows = rows;
+    cfg.cols = cols;
+    EXPECT_THROW(CrossbarArray(cfg, lrs_proto()), Error) << rows << "x" << cols;
+  }
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (double ohms : {inf, -inf, nan, -1.0}) {
+    cfg = lumped(2);
+    cfg.driver = Resistance(ohms);
+    EXPECT_THROW(CrossbarArray(cfg, lrs_proto()), Error) << "driver " << ohms;
+  }
+  for (double ohms : {inf, nan, 0.0, -1.0}) {
+    cfg = lumped(2);
+    cfg.wire_segment = Resistance(ohms);
+    EXPECT_THROW(CrossbarArray(cfg, lrs_proto()), Error) << "wire " << ohms;
+  }
   cfg = lumped(2);
   cfg.model = NetworkModel::kDistributed;
   cfg.rows = cfg.cols = 512;  // distributed capped at 256×256
