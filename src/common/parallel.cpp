@@ -25,14 +25,16 @@ namespace {
 constexpr int kPausePolls = 32;
 
 /// How long a waiter keeps polling, yielding its CPU between polls,
-/// before it parks on a condition variable.  Measured on a 4-vCPU VM:
-/// the serial gap between consecutive serving windows of perfbench
-/// serve_add_heavy is mostly 10–50 µs, so 50 µs keeps the workers awake
-/// across a serving run and lets them park when the caller goes quiet;
-/// windows from 20 to 1000 µs were not clearly faster on any perfbench
-/// workload.  Yielding rather than spinning on `pause` keeps a
-/// descheduled caller or worker from waiting behind a spinner on a
-/// loaded machine.
+/// before it parks on a condition variable.  Chosen, on a 4-vCPU VM,
+/// when serving windows still fanned their tiles out on the pool: the
+/// serial gap between consecutive perfbench serve_add_heavy windows was
+/// mostly 10–50 µs, so 50 µs kept the workers awake across a serving run
+/// and let them park when the caller went quiet.  Serving windows now
+/// run their tiles inline and never reach the pool, so that reason is
+/// gone; the value stays, as windows from 20 to 1000 µs were not clearly
+/// faster on any perfbench workload.  Yielding rather than spinning on
+/// `pause` keeps a descheduled caller or worker from waiting behind a
+/// spinner on a loaded machine.
 constexpr std::chrono::microseconds kSpinWindow{50};
 
 /// Set while a thread is executing pool work; nested parallel_for calls

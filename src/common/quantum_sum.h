@@ -17,13 +17,43 @@
 // NOT thread-safe while it grows: grow it before a fan-out and only
 // read it inside one (the TC-adder farm grows its one table to a bound
 // before its lane blocks run, and they read it through data()).
+//
+// Growing copies rather than adds.  Each thread keeps one master table
+// per quantum (keyed by the quantum's bits), built by the same
+// recurrence from 0.0 and so holding the same doubles, and a table
+// grows by extending that master as far as it needs and copying the
+// entries it lacks.  A fresh table per short-lived object (the serving
+// dispatcher builds a TC-adder farm per tile per add window) then costs
+// a copy, not a chain of dependent additions.  Every object still owns
+// its table, so the fan-out rule above is unchanged.
 #pragma once
 
 #include <algorithm>
+#include <bit>
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 namespace memcim {
+
+namespace detail {
+
+/// The calling thread's master table for `quantum`: its prefix sums
+/// s(0..size()-1), grown only by the recurrence.
+inline std::vector<double>& master_quantum_sums(double quantum) {
+  struct Master {
+    std::uint64_t bits;
+    std::vector<double> sums;
+  };
+  thread_local std::vector<Master> masters;
+  const auto bits = std::bit_cast<std::uint64_t>(quantum);
+  for (Master& m : masters)
+    if (m.bits == bits) return m.sums;
+  masters.push_back({bits, {0.0}});
+  return masters.back().sums;
+}
+
+}  // namespace detail
 
 class QuantumSumTable {
  public:
@@ -52,11 +82,14 @@ class QuantumSumTable {
 
  private:
   [[gnu::noinline]] void grow(std::size_t count) {
+    std::vector<double>& master = detail::master_quantum_sums(quantum_);
+    while (master.size() <= count) master.push_back(master.back() + quantum_);
     // One allocation for a jump to a bound, doubling for small steps.
     if (count >= partial_.capacity())
       partial_.reserve(std::max(count + 1, 2 * partial_.capacity()));
-    while (partial_.size() <= count)
-      partial_.push_back(partial_.back() + quantum_);
+    const auto from = static_cast<std::ptrdiff_t>(partial_.size());
+    const auto to = static_cast<std::ptrdiff_t>(count + 1);
+    partial_.insert(partial_.end(), master.begin() + from, master.begin() + to);
   }
 
   double quantum_;

@@ -42,7 +42,11 @@ namespace {
 
 /// Solve the internal node of a series stack: find the base-device
 /// share v_d with f(v_d) = I_base(v_d) − I_series(v − v_d) = 0, where f
-/// is strictly increasing.  ~60 bisection steps give < 1e-18 V error.
+/// is strictly increasing.  Bisects at most 80 times, and stops once the
+/// midpoint equals an end of the bracket: the ends are then adjacent
+/// doubles (or one), so no later step could move the midpoint returned.
+/// Over biases from −1.5 to 3 V on an OFF or ON VCM base that is 52–63
+/// steps for the sinh selector and 52–80 for the diode.
 Voltage solve_series_split(const Device& base,
                            const std::function<Current(Voltage)>& series_iv,
                            Voltage v) {
@@ -50,6 +54,7 @@ Voltage solve_series_split(const Device& base,
   double hi = std::max(0.0, v.value());
   for (int it = 0; it < 80; ++it) {
     const double mid = 0.5 * (lo + hi);
+    if (mid == lo || mid == hi) return Voltage(mid);
     const double f = base.current(Voltage(mid)).value() -
                      series_iv(Voltage(v.value() - mid)).value();
     if (f <= 0.0)

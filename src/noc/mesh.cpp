@@ -23,10 +23,20 @@ inline constexpr NocCycle kNever = std::numeric_limits<NocCycle>::max();
                     (0xF117ull + static_cast<std::uint64_t>(flit_index)));
 }
 
+/// `width`, once width × height is known to be a mesh shape: checked
+/// as a division, so a product past size_t cannot wrap into range.
+std::size_t checked_mesh_width(std::size_t width, std::size_t height) {
+  MEMCIM_CHECK_MSG(width > 0 && height > 0, "mesh needs at least one router");
+  MEMCIM_CHECK_MSG(height <= kMaxMeshNodes / width,
+                   "a " << width << " x " << height << " mesh has more than "
+                        << kMaxMeshNodes << " routers");
+  return width;
+}
+
 }  // namespace
 
 MeshNoc::MeshNoc(std::size_t width, std::size_t height, const NocParams& params)
-    : width_(width),
+    : width_(checked_mesh_width(width, height)),
       height_(height),
       params_(params),
       power_(RouterPowerModel::derive(params)),
@@ -34,7 +44,6 @@ MeshNoc::MeshNoc(std::size_t width, std::size_t height, const NocParams& params)
       nics_(width * height),
       link_busy_(width * height * kNocLinkDirs, 0),
       link_faults_(width * height * kNocLinkDirs) {
-  MEMCIM_CHECK_MSG(width > 0 && height > 0, "mesh needs at least one router");
   MEMCIM_CHECK_MSG(params.flit_payload_bits >= 1 && params.buffer_flits >= 1,
                    "degenerate NoC parameters");
   // The period converts cycles to time for trace spans and tile busy

@@ -49,6 +49,8 @@ enum class NocDir : std::uint8_t { kNorth = 0, kEast, kSouth, kWest, kLocal };
 inline constexpr std::size_t kNocPorts = 5;
 /// Directional (non-local) links per router.
 inline constexpr std::size_t kNocLinkDirs = 4;
+/// Most routers a mesh may have (width · height); the benches use 16.
+inline constexpr std::size_t kMaxMeshNodes = std::size_t{1} << 16;
 
 /// Per-link traffic summary exported after a run.
 struct NocLinkUse {
@@ -77,6 +79,9 @@ struct NocStats {
 
 class MeshNoc {
  public:
+  /// Throws Error, before allocating, unless width and height are
+  /// positive with at most kMaxMeshNodes routers, and the parameters
+  /// are sound.
   MeshNoc(std::size_t width, std::size_t height, const NocParams& params);
 
   [[nodiscard]] std::size_t width() const { return width_; }

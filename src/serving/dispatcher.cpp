@@ -2,7 +2,6 @@
 
 #include "arch/partitioner.h"
 #include "common/error.h"
-#include "common/parallel.h"
 #include "telemetry/attribution.h"
 #include "workloads/parallel_add.h"
 
@@ -23,6 +22,14 @@ telemetry::SpanSite& shard_site() {
   static telemetry::SpanSite site("serving.shard_compute");
   return site;
 }
+
+/// What one tile's share of a window cost: its compute latency (the
+/// completion's release), energy and device pulses.
+struct TileBooks {
+  Time latency{0.0};
+  Energy energy{0.0};
+  std::uint64_t pulses = 0;
+};
 
 /// One tile's command/completion pair of a window: tags follow the
 /// tile, and the completion's fingerprint seed is the command's, salted.
@@ -124,28 +131,24 @@ void BatchDispatcher::execute_kmer(const Batch& batch, FabricSession& session,
     MEMCIM_CHECK_MSG(r.key.size() == row_bits,
                      "k-mer query key must be row_bits wide");
 
-  // Compute: every tile matches the whole window against its rows.
-  std::vector<std::vector<std::vector<bool>>> tile_matches(tiles);
-  std::vector<Time> tile_latency(tiles, Time{0.0});
-  std::vector<Energy> tile_energy(tiles, Energy{0.0});
-  parallel_for(0, tiles, 1, [&](std::size_t t) {
+  // Compute: every tile matches the whole window against its rows.  In
+  // tile order, a query's matches append in ascending global row
+  // (tile · rows + local row).
+  std::vector<TileBooks> books(tiles);
+  for (std::size_t t = 0; t < tiles; ++t) {
     const FabricSession::TileCompute compute(session, t, shard_site());
     CimTile& tile = fabric_.tile(t);
     const Time l0 = tile.stats().latency;
     const Energy e0 = tile.stats().energy;
-    tile_matches[t].reserve(queries);
-    for (const Request& r : batch.requests)
-      tile_matches[t].push_back(tile.parallel_compare(r.key));
-    tile_latency[t] = tile.stats().latency - l0;
-    tile_energy[t] = tile.stats().energy - e0;
-  });
-
-  // Merge: global row = tile · rows + local row, ascending.
-  for (std::size_t q = 0; q < queries; ++q) {
-    std::vector<std::size_t>& matches = out.responses[q].matches;
-    for (std::size_t t = 0; t < tiles; ++t)
+    for (std::size_t q = 0; q < queries; ++q) {
+      const std::vector<bool> hit =
+          tile.parallel_compare(batch.requests[q].key);
+      std::vector<std::size_t>& matches = out.responses[q].matches;
       for (std::size_t r = 0; r < rows; ++r)
-        if (tile_matches[t][q][r]) matches.push_back(t * rows + r);
+        if (hit[r]) matches.push_back(t * rows + r);
+    }
+    books[t].latency = tile.stats().latency - l0;
+    books[t].energy = tile.stats().energy - e0;
   }
 
   // Traffic: one command (all Q keys) and one completion (Q match
@@ -154,9 +157,9 @@ void BatchDispatcher::execute_kmer(const Batch& batch, FabricSession& session,
   const std::size_t resp_bits = kDescriptorBits + queries * rows;
   for (std::size_t t = 0; t < tiles; ++t) {
     window_round_trip(session, fabric_, t, cmd_bits, resp_bits,
-                      tile_latency[t], 0x5E4Bull ^ (batch.seq << 8) ^ t);
-    out.compute_energy += tile_energy[t];
-    session.charge(telemetry::AttrLayer::kCrossbar, t, tile_energy[t]);
+                      books[t].latency, 0x5E4Bull ^ (batch.seq << 8) ^ t);
+    out.compute_energy += books[t].energy;
+    session.charge(telemetry::AttrLayer::kCrossbar, t, books[t].energy);
   }
 }
 
@@ -169,33 +172,26 @@ void BatchDispatcher::execute_cam(const Batch& batch, FabricSession& session,
     MEMCIM_CHECK_MSG(r.key.size() == config_.cam.word_bits,
                      "CAM search key must be word_bits wide");
 
-  std::vector<std::vector<CamSearchResult>> per_tile(tiles);
-  std::vector<Time> tile_latency(tiles, Time{0.0});
-  parallel_for(0, tiles, 1, [&](std::size_t t) {
+  std::vector<TileBooks> books(tiles);
+  for (std::size_t t = 0; t < tiles; ++t) {
     const FabricSession::TileCompute compute(session, t, shard_site());
-    per_tile[t].reserve(queries);
-    for (const Request& r : batch.requests) {
-      per_tile[t].push_back(cams_[t].search(r.key));
-      tile_latency[t] += per_tile[t].back().latency;
-    }
-  });
-
-  for (std::size_t q = 0; q < queries; ++q) {
-    std::vector<std::size_t>& matches = out.responses[q].matches;
-    for (std::size_t t = 0; t < tiles; ++t)
-      for (const std::size_t r : per_tile[t][q].matching_rows)
+    for (std::size_t q = 0; q < queries; ++q) {
+      const CamSearchResult found = cams_[t].search(batch.requests[q].key);
+      books[t].latency += found.latency;
+      books[t].energy += found.energy;
+      std::vector<std::size_t>& matches = out.responses[q].matches;
+      for (const std::size_t r : found.matching_rows)
         matches.push_back(t * rows + r);
+    }
   }
 
   const std::size_t cmd_bits = kDescriptorBits + queries * config_.cam.word_bits;
   const std::size_t resp_bits = kDescriptorBits + queries * rows;
   for (std::size_t t = 0; t < tiles; ++t) {
     window_round_trip(session, fabric_, t, cmd_bits, resp_bits,
-                      tile_latency[t], 0xCA4Bull ^ (batch.seq << 8) ^ t);
-    Energy tile_e{0.0};
-    for (const CamSearchResult& r : per_tile[t]) tile_e += r.energy;
-    out.compute_energy += tile_e;
-    session.charge(telemetry::AttrLayer::kLogic, t, tile_e);
+                      books[t].latency, 0xCA4Bull ^ (batch.seq << 8) ^ t);
+    out.compute_energy += books[t].energy;
+    session.charge(telemetry::AttrLayer::kLogic, t, books[t].energy);
   }
 }
 
@@ -209,49 +205,44 @@ void BatchDispatcher::execute_add(const Batch& batch, FabricSession& session,
     MEMCIM_CHECK_MSG((r.add_a | r.add_b) <= mask,
                      "addition operands exceed add_width");
 
-  std::vector<std::uint64_t> op_a(ops), op_b(ops);
-  for (std::size_t i = 0; i < ops; ++i) {
-    op_a[i] = batch.requests[i].add_a;
-    op_b[i] = batch.requests[i].add_b;
-  }
-
   // Batch-aligned shards keep each op's physical adder slot, exactly
   // like the sharded workload layer.
   const ShardPlan plan =
       Partitioner::batch_aligned(ops, tiles, config_.adders_per_tile);
-  std::vector<ParallelAddResult> per_shard(tiles);
-  parallel_for(0, tiles, 1, [&](std::size_t t) {
-    const Shard& s = plan.shards[t];
-    if (s.empty()) return;
-    const FabricSession::TileCompute compute(session, t, shard_site());
-    ParallelAddParams params;
+  ParallelAddParams params;
+  params.width = config_.add_width;
+  params.adders = config_.adders_per_tile;
+  std::vector<TileBooks> books(tiles);
+  std::vector<std::uint64_t> a, b;  // one shard's operands
+  for (const Shard& s : plan.shards) {
+    if (s.empty()) continue;
+    const FabricSession::TileCompute compute(session, s.tile, shard_site());
+    a.clear();
+    b.clear();
+    for (std::size_t i = s.begin; i < s.end; ++i) {
+      a.push_back(batch.requests[i].add_a);
+      b.push_back(batch.requests[i].add_b);
+    }
     params.operations = s.size();
-    params.width = config_.add_width;
-    params.adders = config_.adders_per_tile;
-    const std::vector<std::uint64_t> a(
-        op_a.begin() + static_cast<std::ptrdiff_t>(s.begin),
-        op_a.begin() + static_cast<std::ptrdiff_t>(s.end));
-    const std::vector<std::uint64_t> b(
-        op_b.begin() + static_cast<std::ptrdiff_t>(s.begin),
-        op_b.begin() + static_cast<std::ptrdiff_t>(s.end));
-    per_shard[t] =
+    const ParallelAddResult r =
         run_parallel_add_ops(params, fabric_.config().tile.cell, a, b);
-  });
+    MEMCIM_CHECK(r.mismatches == 0);
+    for (std::size_t i = 0; i < s.size(); ++i)
+      out.responses[s.begin + i].sum = r.sums[i];
+    books[s.tile] = {r.latency, r.total_energy, r.total_pulses};
+  }
 
   const std::size_t w = config_.add_width;
   for (const Shard& s : plan.shards) {
     if (s.empty()) continue;
-    const ParallelAddResult& r = per_shard[s.tile];
-    MEMCIM_CHECK(r.mismatches == 0);
-    for (std::size_t i = 0; i < s.size(); ++i)
-      out.responses[s.begin + i].sum = r.sums[i];
+    const TileBooks& tile = books[s.tile];
     window_round_trip(session, fabric_, s.tile,
                       kDescriptorBits + s.size() * 2 * w,
-                      kDescriptorBits + s.size() * w, r.latency,
+                      kDescriptorBits + s.size() * w, tile.latency,
                       0xADD0ull ^ (batch.seq << 8) ^ s.tile);
-    out.compute_energy += r.total_energy;
-    session.charge(telemetry::AttrLayer::kLogic, s.tile, r.total_energy,
-                   r.total_pulses);
+    out.compute_energy += tile.energy;
+    session.charge(telemetry::AttrLayer::kLogic, s.tile, tile.energy,
+                   tile.pulses);
   }
 }
 

@@ -19,12 +19,15 @@
 // are costed by the device models (CRS CAM cells, CRS TC-adders), whose
 // books are the ones Table 2 uses.
 //
-// Batch compute runs one task per tile on the process thread pool;
-// results merge in tile order and the traffic replays in one NoC
-// session where each completion releases after its tile's compute
-// time, so compute and communication overlap exactly.  Every output —
-// payloads, service cycles, energy — is bitwise deterministic at any
-// MEMCIM_THREADS setting.
+// A window's tiles compute inline on the calling thread, in tile order:
+// a window's per-tile work is a few µs, about what a fork/join on the
+// process thread pool costs, so fanning it out did not pay.  Matches
+// append in tile order, which is ascending global row.  Only once every
+// tile has computed does the traffic replay, in one NoC session where
+// each completion releases after its tile's compute time, so compute
+// and communication overlap exactly and a window whose compute throws
+// injects no packet.  Every output — payloads, service cycles, energy —
+// is bitwise deterministic at any MEMCIM_THREADS setting.
 #pragma once
 
 #include <cstdint>

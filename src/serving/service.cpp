@@ -60,6 +60,44 @@ ServingMetrics& serving_metrics() {
   return m;
 }
 
+/// Books the per-request counters in bulk: each call adds what the
+/// run's per-class stats grew by since the previous call, and the
+/// destructor makes a last call, so the counters are exact at every
+/// probe boundary and whichever way run() exits.
+class ClassCounterFlush {
+ public:
+  using PerClass = std::array<ClassStats, kRequestClasses>;
+  explicit ClassCounterFlush(const PerClass& stats) : stats_(stats) {}
+  ClassCounterFlush(const ClassCounterFlush&) = delete;
+  ClassCounterFlush& operator=(const ClassCounterFlush&) = delete;
+  ~ClassCounterFlush() { (*this)(); }
+
+  void operator()() {
+    ServingMetrics& m = serving_metrics();
+    ClassStats total;
+    for (std::size_t c = 0; c < kRequestClasses; ++c) {
+      const ClassStats& now = stats_[c];
+      ClassStats& was = booked_[c];
+      m.admitted_cls[c]->add(now.admitted - was.admitted);
+      m.shed_cls[c]->add(now.shed - was.shed);
+      m.completed_cls[c]->add(now.completed - was.completed);
+      total.arrivals += now.arrivals - was.arrivals;
+      total.admitted += now.admitted - was.admitted;
+      total.shed += now.shed - was.shed;
+      total.completed += now.completed - was.completed;
+      was = now;
+    }
+    m.arrivals.add(total.arrivals);
+    m.admitted.add(total.admitted);
+    m.shed.add(total.shed);
+    m.completed.add(total.completed);
+  }
+
+ private:
+  const PerClass& stats_;
+  PerClass booked_{};
+};
+
 telemetry::SpanSite& run_site() {
   static telemetry::SpanSite site("serving.run");
   return site;
@@ -147,12 +185,10 @@ VirtualNs WorkloadService::dispatch(std::vector<AdmissionQueue>& queues,
     m.occupancy.record(static_cast<double>(batch.lanes()));
 
   const std::size_t ci = static_cast<std::size_t>(cls);
+  stats.per_class[ci].completed += exec.responses.size();
   for (Response& resp : exec.responses) {
     resp.dispatched = now;
     resp.completed = completed_at;
-    ++stats.per_class[ci].completed;
-    m.completed.add(1);
-    m.completed_cls[ci]->add(1);
     if (telemetry::enabled())
       m.latency[ci]->record(static_cast<double>(resp.latency()));
     out.responses.push_back(std::move(resp));
@@ -162,9 +198,10 @@ VirtualNs WorkloadService::dispatch(std::vector<AdmissionQueue>& queues,
 
 ServiceRunResult WorkloadService::run(const std::vector<Request>& trace) {
   telemetry::Span span(run_site());
-  ServingMetrics& m = serving_metrics();
   ServiceRunResult out;
   out.responses.reserve(trace.size());
+  // Called before every probe callback; its destructor books the rest.
+  ClassCounterFlush flush(out.stats.per_class);
 
   std::vector<AdmissionQueue> queues;
   queues.reserve(kRequestClasses);
@@ -202,13 +239,10 @@ ServiceRunResult WorkloadService::run(const std::vector<Request>& trace) {
                        "arrival trace must be sorted by arrival instant");
       const std::size_t ci = static_cast<std::size_t>(incoming.cls);
       ++out.stats.per_class[ci].arrivals;
-      m.arrivals.add(1);
       Request admitted = incoming;
       admitted.trace = telemetry::new_root_context();
       if (queues[ci].try_push(std::move(admitted))) {
         ++out.stats.per_class[ci].admitted;
-        m.admitted.add(1);
-        m.admitted_cls[ci]->add(1);
       } else {
         ShedRecord rec;
         rec.id = incoming.id;
@@ -218,8 +252,6 @@ ServiceRunResult WorkloadService::run(const std::vector<Request>& trace) {
         rec.queue_depth = queues[ci].size();
         out.shed.push_back(rec);
         ++out.stats.per_class[ci].shed;
-        m.shed.add(1);
-        m.shed_cls[ci]->add(1);
       }
       ++next;
     }
@@ -249,6 +281,7 @@ ServiceRunResult WorkloadService::run(const std::vector<Request>& trace) {
     // next interval, so a boundary equal to `when` fires now.
     if (probe_ != nullptr)
       while (next_boundary <= when) {
+        flush();
         probe_->on_sample(next_boundary, probe_state());
         next_boundary += period;
       }
@@ -260,9 +293,11 @@ ServiceRunResult WorkloadService::run(const std::vector<Request>& trace) {
     // virtual run), then close the final partial interval.
     const VirtualNs end = std::max(out.stats.makespan, now);
     while (next_boundary <= end) {
+      flush();
       probe_->on_sample(next_boundary, probe_state());
       next_boundary += period;
     }
+    flush();
     probe_->on_run_end(end, probe_state());
   }
   return out;

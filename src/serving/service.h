@@ -11,10 +11,12 @@
 // tie-breaks: at each instant, arrivals admit first, then at most one
 // window dispatches (the fabric is one shared resource; a new window
 // launches only when the previous batch's last completion has ejected).
-// Parallelism lives only *inside* a batch — the per-tile compute fan
-// out — where every path is already bitwise thread-invariant.  The
-// result: responses, shed records, stats, and every serving.* metric
-// are bitwise identical at any MEMCIM_THREADS setting.
+// A window's tiles also run inline on this thread (see dispatcher.h):
+// their work is a few µs per window, about what a thread-pool fork/join
+// costs, so serving never touches the pool.  Responses, shed records,
+// stats and every serving.* metric are bitwise identical at any
+// MEMCIM_THREADS setting, and the per-request serving.* counters are
+// exact at every probe boundary and when run() returns.
 #pragma once
 
 #include <array>

@@ -6,7 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cstdint>
 #include <string>
+#include <vector>
 
 #include "../serving/serving_test_util.h"
 #include "common/error.h"
@@ -73,6 +76,68 @@ TEST(TimeSeriesSampler, IntervalsPartitionTheRunExactly) {
   EXPECT_EQ(completed, result.stats.completed());
   EXPECT_EQ(batches, result.stats.batches);
   EXPECT_GE(sampler.samples().back().end, result.stats.makespan);
+}
+
+TEST(TimeSeriesSampler, IntervalCountsMatchTheTrace) {
+  // Every sample's counts, recounted from what the run returned: an
+  // arrival and its admission or shed at its arrival instant, a
+  // completion and its batch at the dispatch instant.  A count booked in
+  // the wrong interval shows here even when the run's sums are right.
+  telemetry::set_enabled(true);
+  TileFabric fabric(testutil::small_fabric());
+  const testutil::SmallWorld world;
+  ServingConfig cfg = testutil::small_config();
+  cfg.queue_capacity = 12;
+  WorkloadService svc(fabric, cfg, world.kmer_db, world.cam_rows);
+  TimeSeriesSampler sampler({2'000, 4096});
+  svc.set_probe(&sampler);
+  TraceParams params = testutil::small_trace_params();
+  params.seed = 0x1E7A;
+  params.requests = 3000;
+  params.mean_interarrival_ns = 25.0;  // hot enough to shed
+  params.class_weights = {0.3, 0.3, 0.4};
+  const std::vector<Request> trace = serving::generate_trace(params);
+  const ServiceRunResult result = svc.run(trace);
+  ASSERT_FALSE(result.shed.empty());
+  ASSERT_EQ(sampler.dropped(), 0u);
+  ASSERT_GT(sampler.samples().size(), 10u);
+
+  for (const Sample& s : sampler.samples()) {
+    const auto in = [&s](VirtualNs at) { return at >= s.begin && at < s.end; };
+    std::array<std::uint64_t, serving::kRequestClasses> arrivals{}, shed{},
+        completed{};
+    for (const Request& r : trace)
+      if (in(r.arrival)) ++arrivals[static_cast<std::size_t>(r.cls)];
+    for (const serving::ShedRecord& r : result.shed)
+      if (in(r.at)) ++shed[static_cast<std::size_t>(r.cls)];
+    std::uint64_t batches = 0;
+    std::uint64_t last_seq = ~std::uint64_t{0};
+    for (const serving::Response& r : result.responses) {
+      if (!in(r.dispatched)) continue;
+      ++completed[static_cast<std::size_t>(r.cls)];
+      if (r.batch_seq != last_seq) ++batches;
+      last_seq = r.batch_seq;
+    }
+    std::uint64_t total_arrivals = 0, total_shed = 0, total_completed = 0;
+    for (std::size_t c = 0; c < serving::kRequestClasses; ++c) {
+      const Sample::PerClass& pc = s.classes[c];
+      EXPECT_EQ(pc.admitted, arrivals[c] - shed[c])
+          << "interval " << s.interval << " class " << c;
+      EXPECT_EQ(pc.shed, shed[c]) << "interval " << s.interval << " class "
+                                  << c;
+      EXPECT_EQ(pc.completed, completed[c])
+          << "interval " << s.interval << " class " << c;
+      total_arrivals += arrivals[c];
+      total_shed += shed[c];
+      total_completed += completed[c];
+    }
+    EXPECT_EQ(s.arrivals, total_arrivals) << "interval " << s.interval;
+    EXPECT_EQ(s.admitted, total_arrivals - total_shed)
+        << "interval " << s.interval;
+    EXPECT_EQ(s.shed, total_shed) << "interval " << s.interval;
+    EXPECT_EQ(s.completed, total_completed) << "interval " << s.interval;
+    EXPECT_EQ(s.batches, batches) << "interval " << s.interval;
+  }
 }
 
 TEST(TimeSeriesSampler, IntervalQuantilesAreIntervalLocal) {

@@ -238,5 +238,22 @@ TEST(MeshNoc, RejectsACycleThatIsNotPositiveAndFinite) {
   }
 }
 
+TEST(MeshNoc, RejectsAShapePastTheNodeCeilingBeforeAllocating) {
+  // Unchecked, the first wraps to a 0-router mesh, the second's product
+  // wraps to 2^64 − 1 (std::length_error) and the third asks for 2^34
+  // routers (std::bad_alloc).
+  constexpr std::size_t k32 = std::size_t{1} << 32;
+  struct Shape {
+    std::size_t width, height;
+  };
+  for (const Shape& shape : {Shape{k32, k32}, Shape{k32 + 1, k32 - 1},
+                             Shape{std::size_t{1} << 33, 3},
+                             Shape{kMaxMeshNodes + 1, 1},
+                             Shape{1, kMaxMeshNodes + 1}, Shape{0, 4},
+                             Shape{4, 0}})
+    EXPECT_THROW(MeshNoc(shape.width, shape.height, small_params()), Error)
+        << shape.width << " x " << shape.height;
+}
+
 }  // namespace
 }  // namespace memcim

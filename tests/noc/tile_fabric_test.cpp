@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <string>
 
 #include "common/error.h"
 #include "common/rng.h"
@@ -45,6 +46,21 @@ TEST(TileFabric, GridConstruction) {
     bad = small_fabric();
     bad.noc.cycle = Time(cycle);
     EXPECT_THROW(TileFabric{bad}, Error) << "cycle " << cycle << " s";
+  }
+}
+
+TEST(TileFabric, RejectsAMeshPastTheNodeCeilingAtTheMesh) {
+  // A 2^32 × 2^32 grid used to wrap to a 0-router mesh and fail only at
+  // the host check; the mesh now refuses the shape itself.
+  TileFabricConfig bad = small_fabric();
+  bad.width = std::size_t{1} << 32;
+  bad.height = std::size_t{1} << 32;
+  try {
+    const TileFabric fabric(bad);
+    ADD_FAILURE() << "a 2^32 x 2^32 fabric was built";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("routers"), std::string::npos)
+        << e.what();
   }
 }
 
